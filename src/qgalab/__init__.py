@@ -58,10 +58,9 @@ from .prfsg import (
     state_gen,
 )
 from .primitives import (
+    ActionKey,
     Banknote,
     Ciphertext1,
-    MoneyKey,
-    OwsgKey,
     SkeKey1,
     SkeKeyMulti,
     money_keygen,

@@ -6,7 +6,7 @@ single master seed, and emits a canonical report that embeds the resolved
 config. Reports are byte-identical across re-runs with the same config and
 seed, regardless of --workers; wall-clock timing goes to stderr only.
 
-Exit codes: 0 ok, 2 validation error, 3 runtime error.
+Exit codes: 0 ok, 2 rejected config (nothing has run), 3 runtime error.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import ega as ega_mod
 from . import games, prfsg, primitives
+from .circuits import MAX_DENSE_QUBITS
 from .distributions import DistributionId
 from .qga import (
     QgaInstance,
@@ -30,26 +31,27 @@ from .qga import (
     state_desc_to_json,
 )
 from .rng import stream
-from .states import sample_haar_state, state_to_json
+from .states import MAX_QUBITS, sample_haar_state, state_to_json
 
-_DEFAULTS = {
-    "seed": 0,
-    "trials": 1000,
-    "lambda": 3,
-    "ell": 3,
-    "t": 2,
-    "t0": 1,
-    "tprime": 3,
-    "q": 4,
-    "d": None,
-    "w": None,
-    "depth": None,
-    "candidate": "iqp-sparse",
-    "id": None,
-    "adversary": None,
-    "out": None,
-    "format": "json",
-    "workers": 1,
+# config key and flag name -> (flag type, default); flags override a config file
+_OPTIONS = {
+    "seed": (int, 0),
+    "trials": (int, 1000),
+    "lambda": (int, 3),
+    "ell": (int, 3),
+    "t": (int, 2),
+    "t0": (int, 1),
+    "tprime": (int, 3),
+    "q": (int, 4),
+    "d": (int, None),
+    "w": (int, None),
+    "depth": (int, None),
+    "candidate": (str, "iqp-sparse"),
+    "id": (str, None),
+    "adversary": (str, None),
+    "out": (str, None),
+    "format": (str, "json"),
+    "workers": (int, 1),
 }
 
 _CANDIDATE_ALIASES = {"1": "random-circuit", "2": "iqp-circuit", "3": "iqp-sparse"}
@@ -81,24 +83,9 @@ class ValidationError(ValueError):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--lambda", dest="lam", type=int, default=None)
-    common.add_argument("--ell", type=int, default=None)
-    common.add_argument("--t", type=int, default=None)
-    common.add_argument("--t0", type=int, default=None)
-    common.add_argument("--tprime", type=int, default=None)
-    common.add_argument("--q", type=int, default=None)
-    common.add_argument("--d", type=int, default=None)
-    common.add_argument("--w", type=int, default=None)
-    common.add_argument("--depth", type=int, default=None)
-    common.add_argument("--candidate", type=str, default=None)
-    common.add_argument("--id", dest="game_id", type=str, default=None)
-    common.add_argument("--adversary", type=str, default=None)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+    for key, (kind, _) in _OPTIONS.items():
+        common.add_argument(f"--{key}", dest=key, type=kind, default=None)
     common.add_argument("--config", type=str, default=None)
-    common.add_argument("--workers", type=int, default=None)
 
     parser = argparse.ArgumentParser(prog="qgalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -107,16 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_ATTRS = {
-    "seed": "seed", "trials": "trials", "lambda": "lam", "ell": "ell",
-    "t": "t", "t0": "t0", "tprime": "tprime", "q": "q", "d": "d", "w": "w",
-    "depth": "depth", "candidate": "candidate", "id": "game_id",
-    "adversary": "adversary", "out": "out", "format": "fmt", "workers": "workers",
-}
-
-
 def _resolve_config(args: argparse.Namespace) -> dict:
-    config = dict(_DEFAULTS)
+    config = {key: default for key, (_, default) in _OPTIONS.items()}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -130,8 +109,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             if key not in config:
                 raise ValidationError(f"unknown config key {key!r}")
             config[key] = value
-    for key, attr in _FLAG_ATTRS.items():
-        value = getattr(args, attr)
+    for key in _OPTIONS:
+        value = getattr(args, key)
         if value is not None:
             config[key] = value
     return config
@@ -148,7 +127,7 @@ def _validate(config: dict, command: str) -> None:
 
     need_int("seed", 0)
     need_int("trials", 1)
-    need_int("lambda", 1, 20)
+    need_int("lambda", 1, MAX_QUBITS)
     need_int("ell", 1)
     need_int("t", 1)
     need_int("t0", 0)
@@ -170,6 +149,10 @@ def _validate(config: dict, command: str) -> None:
         raise ValidationError(
             f"unknown candidate {config['candidate']!r}; choose from {', '.join(_CANDIDATES)}")
     config["candidate"] = candidate
+    dense = config["lambda"] > MAX_DENSE_QUBITS
+    if dense and candidate == "haar-unitary" and command != "ega-check":
+        raise ValidationError(
+            f"haar-unitary samples dense unitaries, capped at --lambda {MAX_DENSE_QUBITS}")
 
     if config["format"] not in ("json", "csv"):
         raise ValidationError("--format must be json or csv")
@@ -191,6 +174,8 @@ def _validate(config: dict, command: str) -> None:
         elif gid == "attack-iqp-pru":
             if config["candidate"] not in ("iqp-circuit", "iqp-sparse"):
                 raise ValidationError("attack-iqp-pru targets iqp-circuit or iqp-sparse")
+            if config["format"] == "csv":
+                raise ValidationError(f"game {gid!r} does not record per-trial outcomes")
         elif "-vs-" in gid:
             left, _, right = gid.partition("-vs-")
             for side in (left, right):
@@ -203,11 +188,15 @@ def _validate(config: dict, command: str) -> None:
                 raise ValidationError(f"unknown distinguisher {config['adversary']!r}")
         else:
             raise ValidationError(f"unknown game id {gid!r}")
+        if dense and (gid == "attack-iqp-pru" or (gid, config["adversary"]) == ("ow", "orthogonal")):
+            # Haar unitaries and the orthogonal adversary's gate are dense matrices
+            raise ValidationError(
+                f"game {gid!r} builds dense unitaries, capped at --lambda {MAX_DENSE_QUBITS}")
         if gid in ("uc", "ucfsg"):
             if config["tprime"] <= config["t"]:
                 raise ValidationError("--tprime must exceed --t")
-            if config["tprime"] * config["lambda"] > 20:
-                raise ValidationError("--tprime registers exceed the 20-qubit cap")
+            if config["tprime"] * config["lambda"] > MAX_QUBITS:
+                raise ValidationError(f"--tprime registers exceed the {MAX_QUBITS}-qubit cap")
 
     if command in ("prfsg-eval",) and config["ell"] > 8:
         raise ValidationError("--ell above 8 would enumerate too many inputs")
@@ -238,6 +227,11 @@ def _canonical_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _rate_block(successes: int, n: int) -> dict:
+    est, (lo, hi) = games.estimate(successes, n)
+    return {"trials": n, "successes": successes, "estimate": est, "ci": [lo, hi]}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -260,51 +254,36 @@ def _cmd_sample(config: dict) -> str:
 
 def _run_game(config: dict):
     gid = config["id"]
-    record = config["format"] == "csv"
-    trials, seed, workers = config["trials"], config["seed"], config["workers"]
-
     if gid == "attack-iqp-pru":
         candidate = 2 if config["candidate"] == "iqp-circuit" else 3
         degree = config["d"] if config["d"] is not None else 3
         return games.attack_iqp_fixed_point(
-            config["lambda"], candidate, trials, seed,
+            config["lambda"], candidate, config["trials"], config["seed"],
             degree_bound=degree, term_bound=config["w"],
-            num_gates=config["depth"], workers=workers)
+            num_gates=config["depth"], workers=config["workers"])
 
     instance = _build_instance(config)
-    if gid == "ow":
-        adv = _GAME_ADVERSARIES["ow"][1][config["adversary"]]
-        return games.run_ow_game(instance, adv, config["t"], trials, seed,
-                                 workers=workers, record=record)
-    if gid == "up":
-        adv = _GAME_ADVERSARIES["up"][1][config["adversary"]]
-        return games.run_up_game(instance, adv, config["t"], trials, seed,
-                                 workers=workers, record=record)
-    if gid == "uc":
-        adv = _GAME_ADVERSARIES["uc"][1][config["adversary"]]
-        return games.run_uc_game(instance, adv, config["t0"], config["t"],
-                                 config["tprime"], trials, seed,
-                                 workers=workers, record=record)
-    if gid == "prfsg":
-        adv = _GAME_ADVERSARIES["prfsg"][1][config["adversary"]]
-        factory = games.standard_prfsg_factory(instance, config["ell"])
-        return games.run_prfsg_game(factory, adv, trials, seed,
-                                    workers=workers, record=record)
-    if gid == "upsg":
-        adv = _GAME_ADVERSARIES["upsg"][1][config["adversary"]]
-        factory = _real_oracle_factory(instance, config["ell"])
-        return games.run_upsg_game(factory, adv, trials, seed,
-                                   workers=workers, record=record)
-    if gid == "ucfsg":
-        adv = _GAME_ADVERSARIES["ucfsg"][1][config["adversary"]]
-        factory = _real_oracle_factory(instance, config["ell"])
-        return games.run_ucfsg_game(factory, adv, config["t"], config["tprime"],
-                                    trials, seed, workers=workers, record=record)
+    run = {"trials": config["trials"], "seed": config["seed"], "workers": config["workers"],
+           "record": config["format"] == "csv"}
+    if "-vs-" in gid:
+        left, _, right = gid.partition("-vs-")
+        return games.run_distinguishing_game((left, right), instance, games.dist_random_guess,
+                                             config["t"], config["q"], **run)
 
-    left, _, right = gid.partition("-vs-")
-    return games.run_distinguishing_game(
-        (left, right), instance, games.dist_random_guess,
-        config["t"], config["q"], trials, seed, workers=workers, record=record)
+    adv = _GAME_ADVERSARIES[gid][1][config["adversary"]]
+    if gid == "ow":
+        return games.run_ow_game(instance, adv, config["t"], **run)
+    if gid == "up":
+        return games.run_up_game(instance, adv, config["t"], **run)
+    if gid == "uc":
+        return games.run_uc_game(instance, adv, config["t0"], config["t"], config["tprime"], **run)
+    if gid == "prfsg":
+        factory = games.standard_prfsg_factory(instance, config["ell"])
+        return games.run_prfsg_game(factory, adv, **run)
+    factory = _real_oracle_factory(instance, config["ell"])
+    if gid == "upsg":
+        return games.run_upsg_game(factory, adv, **run)
+    return games.run_ucfsg_game(factory, adv, config["t"], config["tprime"], **run)
 
 
 def _real_oracle_factory(instance: QgaInstance, ell: int):
@@ -317,11 +296,8 @@ def _real_oracle_factory(instance: QgaInstance, ell: int):
 def _cmd_game(config: dict) -> str:
     result = _run_game(config)
     if config["format"] == "csv":
-        outcomes = (result.detail or {}).get("outcomes")
-        if outcomes is None:
-            raise ValidationError(f"game {config['id']!r} does not record per-trial outcomes")
         lines = ["trial,outcome"]
-        lines += [f"{i},{int(o)}" for i, o in enumerate(outcomes)]
+        lines += [f"{i},{int(o)}" for i, o in enumerate(result.detail["outcomes"])]
         return "\n".join(lines) + "\n"
     report = games.game_report(result, config["id"], _public_config(config))
     return _canonical_json(report)
@@ -346,17 +322,13 @@ def _cmd_ske_roundtrip(config: dict) -> str:
         ones_bit_ok += sum(dec1)
         ones_msg_ok += int(dec1 == (1,) * ell)
 
-    def block(successes: int, n: int) -> dict:
-        est, (lo, hi) = games.estimate(successes, n)
-        return {"trials": n, "successes": successes, "estimate": est, "ci": [lo, hi]}
-
     report = {
         "command": "ske-roundtrip",
         "config": _public_config(config),
         "seed": seed,
-        "zero_message": block(zero_ok, trials),
-        "ones_message": block(ones_msg_ok, trials),
-        "ones_per_bit": block(ones_bit_ok, trials * ell),
+        "zero_message": _rate_block(zero_ok, trials),
+        "ones_message": _rate_block(ones_msg_ok, trials),
+        "ones_per_bit": _rate_block(ones_bit_ok, trials * ell),
     }
     return _canonical_json(report)
 
@@ -394,16 +366,12 @@ def _cmd_money_demo(config: dict) -> str:
         honest_ok += int(primitives.money_verify(key, note.note, rng))
         forged_ok += int(primitives.money_verify(key, sample_haar_state(lam, rng), rng))
 
-    def block(successes: int, n: int) -> dict:
-        est, (lo, hi) = games.estimate(successes, n)
-        return {"trials": n, "successes": successes, "estimate": est, "ci": [lo, hi]}
-
     report = {
         "command": "money-demo",
         "config": _public_config(config),
         "seed": seed,
-        "honest_accept": block(honest_ok, trials),
-        "counterfeit_accept": block(forged_ok, trials),
+        "honest_accept": _rate_block(honest_ok, trials),
+        "counterfeit_accept": _rate_block(forged_ok, trials),
         "counterfeit_expected": 0.5**lam,
     }
     return _canonical_json(report)
@@ -462,10 +430,10 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         _validate(config, args.command)
         text = _COMMANDS[args.command](config)
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qga import QgaInstance, apply_qga
+from .qga import QgaDescription, QgaInstance, apply_qga
 from .states import StateVector, sample_haar_state
 
 
@@ -44,107 +44,86 @@ class DistributionId(str, Enum):
 Sample = list[list[tuple[StateVector, ...]]]
 
 
-def _blocks(tuples: list[tuple[StateVector, ...]], t: int) -> Sample:
-    return [[tup] * t for tup in tuples]
+class _Draw:
+    """What a recipe builds tuples from: the action's base state, the group
+    elements drawn once up front, and fresh group elements or Haar states."""
+
+    def __init__(self, qga: QgaInstance, up_front: int, rng: np.random.Generator) -> None:
+        self.qga = qga
+        self.rng = rng
+        self.s0 = qga.sample_s().expand()
+        self.shared = tuple(qga.sample_g(rng) for _ in range(up_front))
+
+    def g(self) -> QgaDescription:
+        return self.qga.sample_g(self.rng)
+
+    def haar(self) -> StateVector:
+        return sample_haar_state(self.qga.num_qubits, self.rng)
+
+
+def _haar_and_image(d: _Draw) -> tuple[StateVector, StateVector]:
+    """(|s>, g|s>) for a Haar |s>; g is the shared element if one was drawn."""
+    s = d.haar()
+    return s, apply_qga(d.shared[0] if d.shared else d.g(), s)
+
+
+def _haar_pair(d: _Draw) -> tuple[StateVector, StateVector]:
+    return d.haar(), d.haar()
+
+
+def _ddh(d: _Draw, real: bool) -> tuple[StateVector, ...]:
+    g_tilde, g = d.shared
+    third = apply_qga(g, d.s0)
+    fourth = apply_qga(g_tilde, third) if real else apply_qga(d.g(), d.s0)
+    return d.s0, apply_qga(g_tilde, d.s0), third, fourth
+
+
+def _nr0(d: _Draw) -> tuple[StateVector, StateVector]:
+    first = apply_qga(d.g(), d.s0)
+    return first, apply_qga(d.shared[0], first)
+
+
+# A recipe is (tuple count, group elements drawn up front, tuple builder). The
+# count is one tuple, Q fresh tuples, or one tuple repeated Q times.
+_ONE, _FRESH, _REPEAT = "one", "fresh", "repeat"
+_FRESH_HAAR_AND_IMAGE = (_FRESH, 0, _haar_and_image)
+_FRESH_HAAR_PAIRS = (_FRESH, 0, _haar_pair)
+_HAAR_AND_SHARED_IMAGE = (_FRESH, 1, _haar_and_image)
+
+_RECIPES = {
+    DistributionId.PR0: (_ONE, 0, lambda d: (d.s0, apply_qga(d.g(), d.s0))),
+    DistributionId.PR1: (_ONE, 0, lambda d: (d.s0, d.haar())),
+    DistributionId.PRQ0: (_FRESH, 0, lambda d: (apply_qga(d.g(), d.s0),)),
+    DistributionId.PRQ1: (_FRESH, 0, lambda d: (d.haar(),)),
+    DistributionId.HAAR_PR0: (_ONE, 0, _haar_and_image),
+    DistributionId.HAAR_PR1: (_ONE, 0, _haar_pair),
+    DistributionId.HAAR_PRQ0: _FRESH_HAAR_AND_IMAGE,
+    DistributionId.HAAR_PRQ1: _FRESH_HAAR_PAIRS,
+    DistributionId.DDH0: (_REPEAT, 2, lambda d: _ddh(d, real=True)),
+    DistributionId.DDH1: (_REPEAT, 2, lambda d: _ddh(d, real=False)),
+    DistributionId.HAAR_DDH0: _HAAR_AND_SHARED_IMAGE,
+    DistributionId.HAAR_DDH1: _FRESH_HAAR_AND_IMAGE,
+    DistributionId.NR0: (_FRESH, 1, _nr0),
+    DistributionId.NR1: (_FRESH, 0, lambda d: (apply_qga(d.g(), d.s0), apply_qga(d.g(), d.s0))),
+    DistributionId.NR_PRIME: _FRESH_HAAR_AND_IMAGE,
+    DistributionId.NR_PRIME0: _HAAR_AND_SHARED_IMAGE,
+    DistributionId.NR_PRIME1: _FRESH_HAAR_PAIRS,
+}
 
 
 def gen_distribution(
     dist: DistributionId | str, qga: QgaInstance, t: int, q_samples: int, rng: np.random.Generator
 ) -> Sample:
     """Draw one sample of the named distribution over the given QGA."""
-    dist = DistributionId(dist)
+    count, up_front, build = _RECIPES[DistributionId(dist)]
     if t < 1 or q_samples < 1:
         raise ValueError("t and Q must be positive")
-    lam = qga.num_qubits
-    s0 = qga.sample_s().expand()
-
-    if dist is DistributionId.PR0:
-        h = qga.sample_g(rng)
-        return _blocks([(s0, apply_qga(h, s0))], t)
-    if dist is DistributionId.PR1:
-        return _blocks([(s0, sample_haar_state(lam, rng))], t)
-
-    if dist is DistributionId.PRQ0:
-        return _blocks([(apply_qga(qga.sample_g(rng), s0),) for _ in range(q_samples)], t)
-    if dist is DistributionId.PRQ1:
-        return _blocks([(sample_haar_state(lam, rng),) for _ in range(q_samples)], t)
-
-    if dist is DistributionId.HAAR_PR0:
-        s = sample_haar_state(lam, rng)
-        return _blocks([(s, apply_qga(qga.sample_g(rng), s))], t)
-    if dist is DistributionId.HAAR_PR1:
-        return _blocks([(sample_haar_state(lam, rng), sample_haar_state(lam, rng))], t)
-
-    if dist is DistributionId.HAAR_PRQ0:
-        tuples = []
-        for _ in range(q_samples):
-            s = sample_haar_state(lam, rng)
-            tuples.append((s, apply_qga(qga.sample_g(rng), s)))
-        return _blocks(tuples, t)
-    if dist is DistributionId.HAAR_PRQ1:
-        return _blocks(
-            [(sample_haar_state(lam, rng), sample_haar_state(lam, rng)) for _ in range(q_samples)], t
-        )
-
-    if dist in (DistributionId.DDH0, DistributionId.DDH1):
-        g_tilde = qga.sample_g(rng)
-        g = qga.sample_g(rng)
-        third = apply_qga(g, s0)
-        if dist is DistributionId.DDH0:
-            fourth = apply_qga(g_tilde, third)
-        else:
-            fourth = apply_qga(qga.sample_g(rng), s0)
-        tup = (s0, apply_qga(g_tilde, s0), third, fourth)
-        return _blocks([tup] * q_samples, t)
-
-    if dist is DistributionId.HAAR_DDH0:
-        g = qga.sample_g(rng)
-        tuples = []
-        for _ in range(q_samples):
-            s = sample_haar_state(lam, rng)
-            tuples.append((s, apply_qga(g, s)))
-        return _blocks(tuples, t)
-    if dist is DistributionId.HAAR_DDH1:
-        tuples = []
-        for _ in range(q_samples):
-            s = sample_haar_state(lam, rng)
-            tuples.append((s, apply_qga(qga.sample_g(rng), s)))
-        return _blocks(tuples, t)
-
-    if dist is DistributionId.NR0:
-        g_tilde = qga.sample_g(rng)
-        tuples = []
-        for _ in range(q_samples):
-            first = apply_qga(qga.sample_g(rng), s0)
-            tuples.append((first, apply_qga(g_tilde, first)))
-        return _blocks(tuples, t)
-    if dist is DistributionId.NR1:
-        tuples = []
-        for _ in range(q_samples):
-            tuples.append(
-                (apply_qga(qga.sample_g(rng), s0), apply_qga(qga.sample_g(rng), s0))
-            )
-        return _blocks(tuples, t)
-
-    if dist is DistributionId.NR_PRIME:
-        tuples = []
-        for _ in range(q_samples):
-            s = sample_haar_state(lam, rng)
-            tuples.append((s, apply_qga(qga.sample_g(rng), s)))
-        return _blocks(tuples, t)
-    if dist is DistributionId.NR_PRIME0:
-        g_tilde = qga.sample_g(rng)
-        tuples = []
-        for _ in range(q_samples):
-            s = sample_haar_state(lam, rng)
-            tuples.append((s, apply_qga(g_tilde, s)))
-        return _blocks(tuples, t)
-    if dist is DistributionId.NR_PRIME1:
-        return _blocks(
-            [(sample_haar_state(lam, rng), sample_haar_state(lam, rng)) for _ in range(q_samples)], t
-        )
-
-    raise ValueError(f"unhandled distribution id {dist}")
+    d = _Draw(qga, up_front, rng)
+    if count == _FRESH:
+        tuples = [build(d) for _ in range(q_samples)]
+    else:
+        tuples = [build(d)] * (q_samples if count == _REPEAT else 1)
+    return [[tup] * t for tup in tuples]
 
 
 def sample_shape(sample: Sample) -> tuple[int, int, int]:

@@ -12,12 +12,14 @@ so the two can be compared structurally in tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 from scipy import stats
+
+from .prfsg import _as_bits
 
 MAX_MODULUS = 2**31
 MAX_EXHAUSTIVE_PAIRS = 10**6
@@ -168,20 +170,6 @@ def nr_prf_keygen(ega: ClassicalEga, ell: int, rng: np.random.Generator) -> NrPr
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     return NrPrfKey(tuple(ega.sample_group(rng) for _ in range(ell + 1)))
-
-
-def _as_bits(x, ell: int) -> tuple[int, ...]:
-    if isinstance(x, str):
-        if not all(c in "01" for c in x):
-            raise ValueError("bit string must contain only 0/1")
-        bits = tuple(int(c) for c in x)
-    else:
-        bits = tuple(int(b) for b in x)
-        if not all(b in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-    if len(bits) != ell:
-        raise ValueError(f"expected {ell} bits, got {len(bits)}")
-    return bits
 
 
 def nr_prf(ega: ClassicalEga, key: NrPrfKey, x) -> int:
@@ -357,17 +345,7 @@ def exp_action_from_json(text: str) -> ClassicalEga:
     if s0 != ega.origin:
         if s0 not in ega.set_elements:
             raise ValueError("s0 not in the acted-on set")
-        ega = ClassicalEga(
-            name=ega.name,
-            group_elements=ega.group_elements,
-            identity=ega.identity,
-            op=ega.op,
-            inv=ega.inv,
-            set_elements=ega.set_elements,
-            act=ega.act,
-            origin=s0,
-            params=ega.params,
-        )
+        ega = replace(ega, origin=s0)
     return ega
 
 

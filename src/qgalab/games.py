@@ -24,6 +24,7 @@ from .distributions import DistributionId, gen_distribution
 from .qga import QgaDescription, QgaInstance, apply_qga
 from .rng import stream
 from .states import (
+    MAX_QUBITS,
     StateVector,
     measure_register_projector,
     orthogonal_state,
@@ -64,11 +65,8 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
 
 def estimate(successes: int, trials: int) -> tuple[float, tuple[float, float]]:
     """Point estimate and Wilson 95% interval."""
-    return successes / trials if trials else _raise_trials(), wilson_interval(successes, trials)
-
-
-def _raise_trials():
-    raise ValueError("trials must be positive")
+    interval = wilson_interval(successes, trials)  # rejects trials <= 0 before the division
+    return successes / trials, interval
 
 
 def _fold_advantage(acc_low: float, acc_high: float) -> tuple[float, float]:
@@ -109,6 +107,45 @@ def _result(successes: int, trials: int, seed: int, detail: dict | None = None,
         detail = dict(detail or {})
         detail["outcomes"] = [int(b) for b in outcomes]
     return GameResult(trials, successes, est, lo, hi, seed, detail)
+
+
+def _advantage_result(correct: int, trials: int, seed: int, detail: dict,
+                      outcomes: list[bool] | None) -> GameResult:
+    """Result of a balanced-coin game: the folded advantage |2 acc - 1|."""
+    acc_lo, acc_hi = wilson_interval(correct, trials)
+    adv_lo, adv_hi = _fold_advantage(acc_lo, acc_hi)
+    est = abs(2.0 * correct / trials - 1.0)
+    detail = {"accuracy": correct / trials, **detail}
+    if outcomes is not None:
+        detail["outcomes"] = [int(b) for b in outcomes]
+    return GameResult(trials, correct, est, adv_lo, adv_hi, seed, detail)
+
+
+def _count_hits(joint: StateVector, t_prime: int, target: StateVector,
+                rng: np.random.Generator) -> int:
+    """Project the t' registers of ``joint`` onto ``target`` one by one, with
+    collapse, and count the hits."""
+    lam = target.num_qubits
+    if joint.num_qubits != t_prime * lam:
+        raise ValueError("adversary output register count mismatch")
+    hits = 0
+    for reg in range(t_prime):
+        hit, joint = measure_register_projector(joint, reg, lam, target, rng)
+        hits += int(hit)
+    return hits
+
+
+def _check_register_cap(t_prime: int, lam: int) -> None:
+    if t_prime * lam > MAX_QUBITS:
+        raise ValueError("t_prime registers exceed the statevector cap")
+
+
+def _fresh_answer(oracle: prfsg.StateOracle, x_star) -> StateVector | None:
+    """The oracle's answer at x*, or None when x* was queried before."""
+    bits = prfsg._as_bits(x_star, oracle.input_length)
+    if bits in oracle.queried:
+        return None
+    return oracle.query(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +257,14 @@ def run_uc_game(
     measured register by register with collapse."""
     if t_prime <= t:
         raise ValueError("t_prime must exceed t")
-
-    lam = qga.num_qubits
-    if t_prime * lam > 20:
-        raise ValueError("t_prime registers exceed the statevector cap")
+    _check_register_cap(t_prime, qga.num_qubits)
 
     def trial(rng: np.random.Generator) -> bool:
         base = _sample_base(qga, source, rng)
         g = qga.sample_g(rng)
         target = apply_qga(g, base)
         joint = adversary(UcChallenge(qga, t0, t, t_prime, base, target, g), rng)
-        if joint.num_qubits != t_prime * lam:
-            raise ValueError("adversary output register count mismatch")
-        hits = 0
-        state = joint
-        for reg in range(t_prime):
-            hit, state = measure_register_projector(state, reg, lam, target, rng)
-            hits += int(hit)
-        return hits >= t + 1
+        return _count_hits(joint, t_prime, target, rng) >= t + 1
 
     successes, outcomes = run_trials(trial, trials, seed, "uc", workers, record)
     return _result(successes, trials, seed, None, outcomes)
@@ -265,13 +292,8 @@ def run_distinguishing_game(
 
     correct, outcomes = run_trials(trial, trials, seed, "dist-" + left.value + "-" + right.value,
                                    workers, record)
-    acc_lo, acc_hi = wilson_interval(correct, trials)
-    adv_lo, adv_hi = _fold_advantage(acc_lo, acc_hi)
-    est = abs(2.0 * correct / trials - 1.0)
-    detail = {"accuracy": correct / trials, "pair": [left.value, right.value]}
-    if outcomes is not None:
-        detail["outcomes"] = [int(b) for b in outcomes]
-    return GameResult(trials, correct, est, adv_lo, adv_hi, seed, detail)
+    return _advantage_result(correct, trials, seed, {"pair": [left.value, right.value]},
+                             outcomes)
 
 
 def standard_prfsg_factory(
@@ -304,13 +326,7 @@ def run_prfsg_game(
         return int(distinguisher(oracle, rng)) == side
 
     correct, outcomes = run_trials(trial, trials, seed, "prfsg", workers, record)
-    acc_lo, acc_hi = wilson_interval(correct, trials)
-    adv_lo, adv_hi = _fold_advantage(acc_lo, acc_hi)
-    est = abs(2.0 * correct / trials - 1.0)
-    detail = {"accuracy": correct / trials}
-    if outcomes is not None:
-        detail["outcomes"] = [int(b) for b in outcomes]
-    return GameResult(trials, correct, est, adv_lo, adv_hi, seed, detail)
+    return _advantage_result(correct, trials, seed, {}, outcomes)
 
 
 def run_upsg_game(
@@ -330,11 +346,8 @@ def run_upsg_game(
     def trial(rng: np.random.Generator) -> bool:
         oracle = oracle_factory(rng)
         x_star, forged = adversary(oracle, rng)
-        bits = prfsg._as_bits(x_star, oracle.input_length)
-        if bits in oracle.queried:
-            return False
-        target = oracle.query(bits)
-        return projection_sample(target, forged, rng)
+        target = _fresh_answer(oracle, x_star)
+        return target is not None and projection_sample(target, forged, rng)
 
     successes, outcomes = run_trials(trial, trials, seed, "upsg", workers, record)
     return _result(successes, trials, seed, None, outcomes)
@@ -344,7 +357,8 @@ class UcfsgAdversary:
     """Two-phase contract for the cloning-forgery game."""
 
     def choose_target(self, oracle: prfsg.StateOracle, rng: np.random.Generator) -> str:
-        raise NotImplementedError
+        """The input x* to clone the answer at; by default 10...0, never queried."""
+        return "1" + "0" * (oracle.input_length - 1)
 
     def clone(self, copies: Sequence[StateVector], t_prime: int,
               rng: np.random.Generator) -> StateVector:
@@ -369,23 +383,12 @@ def run_ucfsg_game(
 
     def trial(rng: np.random.Generator) -> bool:
         oracle = oracle_factory(rng)
-        x_star = adversary.choose_target(oracle, rng)
-        bits = prfsg._as_bits(x_star, oracle.input_length)
-        if bits in oracle.queried:
+        target = _fresh_answer(oracle, adversary.choose_target(oracle, rng))
+        if target is None:
             return False
-        target = oracle.query(bits)
-        lam = target.num_qubits
-        if t_prime * lam > 20:
-            raise ValueError("t_prime registers exceed the statevector cap")
+        _check_register_cap(t_prime, target.num_qubits)
         joint = adversary.clone([target] * t, t_prime, rng)
-        if joint.num_qubits != t_prime * lam:
-            raise ValueError("adversary output register count mismatch")
-        hits = 0
-        state = joint
-        for reg in range(t_prime):
-            hit, state = measure_register_projector(state, reg, lam, target, rng)
-            hits += int(hit)
-        return hits >= t + 1
+        return _count_hits(joint, t_prime, target, rng) >= t + 1
 
     successes, outcomes = run_trials(trial, trials, seed, "ucfsg", workers, record)
     return _result(successes, trials, seed, None, outcomes)
@@ -561,8 +564,7 @@ def upsg_replay(oracle: prfsg.StateOracle, rng: np.random.Generator) -> tuple[st
 
 
 def upsg_haar(oracle: prfsg.StateOracle, rng: np.random.Generator) -> tuple[str, StateVector]:
-    lam = _oracle_lambda(oracle)
-    return "1" * oracle.input_length, sample_haar_state(lam, rng)
+    return "1" * oracle.input_length, sample_haar_state(oracle.num_qubits, rng)
 
 
 def make_upsg_omniscient(key: prfsg.PrfsgKey) -> Callable:
@@ -575,23 +577,8 @@ def make_upsg_omniscient(key: prfsg.PrfsgKey) -> Callable:
     return adv
 
 
-def _oracle_lambda(oracle: prfsg.StateOracle) -> int:
-    if isinstance(oracle, prfsg.RealOracle):
-        return oracle.key.num_qubits
-    if isinstance(oracle, prfsg.GameOracle):
-        return oracle.key.num_qubits
-    if isinstance(oracle, prfsg.HybridOracle):
-        return oracle.base_state.num_qubits
-    if isinstance(oracle, prfsg.IdealOracle):
-        return oracle.num_qubits
-    raise TypeError("unknown oracle type")
-
-
 class UcfsgEcho(UcfsgAdversary):
     """Returns the t genuine copies plus orthogonal junk; never reaches t+1."""
-
-    def choose_target(self, oracle, rng):
-        return "1" + "0" * (oracle.input_length - 1)
 
     def clone(self, copies, t_prime, rng):
         junk = orthogonal_state(copies[0])
@@ -604,18 +591,12 @@ class UcfsgCloneOmniscient(UcfsgAdversary):
     def __init__(self, key: prfsg.PrfsgKey) -> None:
         self.key = key
 
-    def choose_target(self, oracle, rng):
-        return "1" + "0" * (oracle.input_length - 1)
-
     def clone(self, copies, t_prime, rng):
         honest = prfsg.state_gen(self.key, "1" + "0" * (self.key.input_length - 1))
         return tensor(*([honest] * t_prime))
 
 
 class UcfsgHaarPad(UcfsgAdversary):
-    def choose_target(self, oracle, rng):
-        return "1" + "0" * (oracle.input_length - 1)
-
     def clone(self, copies, t_prime, rng):
         lam = copies[0].num_qubits
         pads = [sample_haar_state(lam, rng) for _ in range(t_prime - len(copies))]

@@ -122,9 +122,10 @@ class StateOracle:
     transcript consistency is exact, not just high-fidelity.
     """
 
-    def __init__(self, mode: str, input_length: int) -> None:
+    def __init__(self, mode: str, input_length: int, num_qubits: int) -> None:
         self.mode = mode
         self.input_length = input_length
+        self.num_qubits = num_qubits
         self.queried: set[tuple[int, ...]] = set()
         self.transcript: list[dict] = []
         self.memo: dict[tuple[int, ...], StateVector] = {}
@@ -142,7 +143,7 @@ class StateOracle:
 
 class RealOracle(StateOracle):
     def __init__(self, key: PrfsgKey) -> None:
-        super().__init__("real", key.input_length)
+        super().__init__("real", key.input_length, key.num_qubits)
         self.key = key
 
     def _answer(self, bits):
@@ -156,10 +157,10 @@ class HybridOracle(StateOracle):
 
     def __init__(self, qga: QgaInstance, ell: int, rng: np.random.Generator,
                  base_state: StateDescription | None = None) -> None:
-        super().__init__("hybrid", ell)
+        self.base_state = base_state if base_state is not None else qga.sample_s()
+        super().__init__("hybrid", ell, self.base_state.num_qubits)
         self.qga = qga
         self.rng = rng
-        self.base_state = base_state if base_state is not None else qga.sample_s()
 
     def _answer(self, bits):
         if bits not in self.memo:
@@ -173,8 +174,7 @@ class IdealOracle(StateOracle):
     """Fresh Haar state per distinct input; memoized."""
 
     def __init__(self, num_qubits: int, ell: int, rng: np.random.Generator) -> None:
-        super().__init__("ideal", ell)
-        self.num_qubits = num_qubits
+        super().__init__("ideal", ell, num_qubits)
         self.rng = rng
 
     def _answer(self, bits):
@@ -194,7 +194,7 @@ class GameOracle(StateOracle):
                  rng: np.random.Generator) -> None:
         if not 0 <= prefix_len <= key.input_length:
             raise ValueError(f"prefix length {prefix_len} outside [0, {key.input_length}]")
-        super().__init__("game", key.input_length)
+        super().__init__("game", key.input_length, key.num_qubits)
         self.key = key
         self.prefix_len = prefix_len
         self.qga = qga
@@ -246,14 +246,6 @@ def open_oracle(
             raise ValueError("game oracle needs key, qga, prefix_len and rng")
         return GameOracle(key, prefix_len, qga, rng)
     raise ValueError(f"unknown oracle mode {mode!r}; expected one of {ORACLE_MODES}")
-
-
-def query_oracle(oracle: StateOracle, x) -> StateVector:
-    return oracle.query(x)
-
-
-def transcript_json(oracle: StateOracle) -> list[dict]:
-    return list(oracle.transcript)
 
 
 # ---------------------------------------------------------------------------

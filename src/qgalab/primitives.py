@@ -37,83 +37,62 @@ def _apply_to_first_register(desc: QgaDescription, joint: StateVector) -> StateV
 
 
 # ---------------------------------------------------------------------------
-# one-way state generation
+# one-way and pseudorandom state generation, private-key money
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OwsgKey:
+class ActionKey:
+    """The key (|s>, g) shared by the one-way, pseudorandom and money schemes."""
+
     state_desc: StateDescription
     group_desc: QgaDescription
 
+    def image(self) -> StateVector:
+        """g|s>."""
+        return apply_qga(self.group_desc, self.state_desc.expand())
 
-def owsg_keygen(qga: QgaInstance, rng: np.random.Generator) -> OwsgKey:
-    return OwsgKey(qga.sample_s(), qga.sample_g(rng))
+
+def action_keygen(qga: QgaInstance, rng: np.random.Generator) -> ActionKey:
+    return ActionKey(qga.sample_s(), qga.sample_g(rng))
 
 
-def owsg_state_gen(key: OwsgKey) -> StateVector:
+owsg_keygen = prsg_keygen = money_keygen = action_keygen
+
+
+def owsg_state_gen(key: ActionKey) -> StateVector:
     """|s> (x) g|s> on 2*lambda qubits."""
-    s = key.state_desc.expand()
-    return tensor(s, apply_qga(key.group_desc, s))
+    return tensor(key.state_desc.expand(), key.image())
 
 
-def owsg_accept_prob(key_prime: OwsgKey, phi: StateVector) -> float:
+def owsg_accept_prob(key_prime: ActionKey, phi: StateVector) -> float:
     """Apply the claimed g' to the first register, then SWAP-test the halves."""
     moved = _apply_to_first_register(key_prime.group_desc, phi)
     return snap_prob(swap_test_accept_prob_joint(moved))
 
 
-def owsg_verify(key_prime: OwsgKey, phi: StateVector, rng: np.random.Generator) -> bool:
+def owsg_verify(key_prime: ActionKey, phi: StateVector, rng: np.random.Generator) -> bool:
     return bool(rng.random() < owsg_accept_prob(key_prime, phi))
 
 
-# ---------------------------------------------------------------------------
-# pseudorandom state generation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrsgKey:
-    state_desc: StateDescription
-    group_desc: QgaDescription
-
-
-def prsg_keygen(qga: QgaInstance, rng: np.random.Generator) -> PrsgKey:
-    return PrsgKey(qga.sample_s(), qga.sample_g(rng))
-
-
-def prsg_state(key: PrsgKey) -> StateVector:
-    return apply_qga(key.group_desc, key.state_desc.expand())
-
-
-# ---------------------------------------------------------------------------
-# private-key quantum money
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MoneyKey:
-    state_desc: StateDescription
-    group_desc: QgaDescription
+def prsg_state(key: ActionKey) -> StateVector:
+    return key.image()
 
 
 @dataclass(frozen=True, eq=False)
 class Banknote:
     note: StateVector
-    issuer: MoneyKey  # serial context: which key minted this note
+    issuer: ActionKey  # serial context: which key minted this note
 
 
-def money_keygen(qga: QgaInstance, rng: np.random.Generator) -> MoneyKey:
-    return MoneyKey(qga.sample_s(), qga.sample_g(rng))
+def money_mint(key: ActionKey) -> Banknote:
+    return Banknote(key.image(), key)
 
 
-def money_mint(key: MoneyKey) -> Banknote:
-    return Banknote(apply_qga(key.group_desc, key.state_desc.expand()), key)
+def money_accept_prob(key: ActionKey, note_state: StateVector) -> float:
+    return snap_prob(projection_prob(key.image(), note_state))
 
 
-def money_accept_prob(key: MoneyKey, note_state: StateVector) -> float:
-    target = apply_qga(key.group_desc, key.state_desc.expand())
-    return snap_prob(projection_prob(target, note_state))
-
-
-def money_verify(key: MoneyKey, note_state: StateVector, rng: np.random.Generator) -> bool:
+def money_verify(key: ActionKey, note_state: StateVector, rng: np.random.Generator) -> bool:
     """Project the presented note onto the honestly minted state."""
     return bool(rng.random() < money_accept_prob(key, note_state))
 

@@ -146,10 +146,6 @@ def swap_test_accept_prob_joint(joint: StateVector) -> float:
     return (1.0 + swap_expectation_joint(joint)) / 2.0
 
 
-def swap_test_sample_joint(joint: StateVector, rng: np.random.Generator) -> bool:
-    return bool(rng.random() < snap_prob(swap_test_accept_prob_joint(joint)))
-
-
 # ---------------------------------------------------------------------------
 # projective register measurement with collapse
 # ---------------------------------------------------------------------------

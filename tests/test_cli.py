@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from qgalab import cli as cli_mod
+from qgalab import games as games_mod
 from qgalab.cli import main
 from qgalab.games import run_up_game, up_copy
 from qgalab.qga import iqp_poly_qga, qga_from_json
@@ -72,6 +74,32 @@ def test_validation_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("game", "--id", "attack-iqp-pru", "--lambda", "8", "--trials", "5"),
+    ("sample", "--candidate", "haar-unitary", "--lambda", "9"),
+    ("game", "--id", "up", "--candidate", "haar-unitary", "--lambda", "9", "--trials", "5"),
+    ("game", "--id", "ow", "--adversary", "orthogonal", "--lambda", "8", "--trials", "5"),
+])
+def test_dense_caps_reject_before_any_trial(capsys, monkeypatch, argv):
+    started = []
+    monkeypatch.setattr(games_mod, "run_trials", lambda *args, **kwargs: started.append(args))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "dense" in err
+    assert started == []
+
+
+def test_runtime_value_error_exits_3(capsys, monkeypatch):
+    # an adversary handing back one register instead of t' fails inside a trial
+    monkeypatch.setitem(cli_mod._GAME_ADVERSARIES["uc"][1], "echo-junk",
+                        lambda ch, rng: ch.copies)
+    code, out, err = run_cli(capsys, "game", "--id", "uc", "--lambda", "2", "--trials", "3")
+    assert code == 3
+    assert out == ""
+    assert "register count mismatch" in err
 
 
 def test_config_file_validation(capsys, tmp_path):

@@ -18,9 +18,7 @@ from qgalab.prfsg import (
     mac_tag,
     mac_verify,
     open_oracle,
-    query_oracle,
     state_gen,
-    transcript_json,
 )
 from qgalab.qga import apply_qga, iqp_poly_qga, random_circuit_qga, sample_g_candidate3
 from qgalab.rng import stream
@@ -188,15 +186,6 @@ def test_open_oracle_dispatch(rng):
         open_oracle("game", key=key, qga=family, rng=rng)
     with pytest.raises(ValueError):
         open_oracle("telepathy", key=key)
-
-
-def test_query_helper_and_transcript_copy():
-    oracle = RealOracle(_key())
-    query_oracle(oracle, "01")
-    log = transcript_json(oracle)
-    assert log == [{"x": "01", "answer_ref": "01"}]
-    log.append("junk")
-    assert len(oracle.transcript) == 1
 
 
 # ---------------------------------------------------------------------------

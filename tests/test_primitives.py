@@ -6,8 +6,8 @@ import oracles
 from qgalab.circuits import Circuit, unitary_gate
 from qgalab.games import _complete_basis
 from qgalab.primitives import (
+    ActionKey,
     Banknote,
-    OwsgKey,
     SkeKeyMulti,
     _apply_to_first_register,
     money_accept_prob,
@@ -79,7 +79,7 @@ def test_owsg_orthogonal_claim_hits_swap_floor(rng):
     key = owsg_keygen(random_circuit_qga(2), rng)
     s = key.state_desc.expand()
     wrong = orthogonal_state(apply_qga(key.group_desc, s))
-    key_prime = OwsgKey(key.state_desc, _unitary_family_element(wrong.amplitudes))
+    key_prime = ActionKey(key.state_desc, _unitary_family_element(wrong.amplitudes))
     assert abs(owsg_accept_prob(key_prime, owsg_state_gen(key)) - 0.5) < 1e-12
 
 
