@@ -10,12 +10,13 @@ import sys
 import time
 
 from qgalab.games import attack_iqp_fixed_point
+from qgalab.qga import iqp_poly_qga
 
 
 def main():
     for lam in (2, 3, 4):
         started = time.perf_counter()
-        res = attack_iqp_fixed_point(lam, candidate=3, trials=4000, seed=41)
+        res = attack_iqp_fixed_point(iqp_poly_qga(lam), trials=4000, seed=41)
         ms = (time.perf_counter() - started) * 1000
         d = res.detail
         print(f"lambda={lam}: iqp accept {d['iqp_rate']:.4f}, "

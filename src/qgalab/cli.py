@@ -33,29 +33,38 @@ from .qga import (
 from .rng import stream
 from .states import MAX_QUBITS, sample_haar_state, state_to_json
 
-# config key and flag name -> (flag type, default); flags override a config file
+# config key and flag name -> (flag type, default, lowest allowed integer);
+# flags override a config file
 _OPTIONS = {
-    "seed": (int, 0),
-    "trials": (int, 1000),
-    "lambda": (int, 3),
-    "ell": (int, 3),
-    "t": (int, 2),
-    "t0": (int, 1),
-    "tprime": (int, 3),
-    "q": (int, 4),
-    "d": (int, None),
-    "w": (int, None),
-    "depth": (int, None),
-    "candidate": (str, "iqp-sparse"),
-    "id": (str, None),
-    "adversary": (str, None),
-    "out": (str, None),
-    "format": (str, "json"),
-    "workers": (int, 1),
+    "seed": (int, 0, 0),
+    "trials": (int, 1000, 1),
+    "lambda": (int, 3, 1),
+    "ell": (int, 3, 1),
+    "t": (int, 2, 1),
+    "t0": (int, 1, 0),
+    "tprime": (int, 3, 1),
+    "q": (int, 4, 1),
+    "d": (int, None, 1),
+    "w": (int, None, 1),
+    "depth": (int, None, 0),
+    "candidate": (str, "iqp-sparse", None),
+    "id": (str, None, None),
+    "adversary": (str, None, None),
+    "out": (str, None, None),
+    "format": (str, "json", None),
+    "workers": (int, 1, 1),
 }
 
 _CANDIDATE_ALIASES = {"1": "random-circuit", "2": "iqp-circuit", "3": "iqp-sparse"}
-_CANDIDATES = ("random-circuit", "iqp-circuit", "iqp-sparse", "haar-unitary", "identity")
+# candidate -> (family builder, {config key: builder keyword}); a key left unset
+# falls back to the builder's own default
+_FAMILIES = {
+    "random-circuit": (random_circuit_qga, {"depth": "depth"}),
+    "iqp-circuit": (iqp_circuit_qga, {"depth": "num_gates"}),
+    "iqp-sparse": (iqp_poly_qga, {"d": "degree_bound", "w": "term_bound"}),
+    "haar-unitary": (haar_unitary_qga, {}),
+    "identity": (identity_qga, {}),
+}
 
 _GAME_ADVERSARIES = {
     "ow": ("identity", {"omniscient": games.ow_omniscient,
@@ -83,7 +92,7 @@ class ValidationError(ValueError):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    for key, (kind, _) in _OPTIONS.items():
+    for key, (kind, _, _) in _OPTIONS.items():
         common.add_argument(f"--{key}", dest=key, type=kind, default=None)
     common.add_argument("--config", type=str, default=None)
 
@@ -95,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    config = {key: default for key, (_, default) in _OPTIONS.items()}
+    config = {key: default for key, (_, default, _) in _OPTIONS.items()}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -117,37 +126,29 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _validate(config: dict, command: str) -> None:
-    def need_int(key, low, high=None):
+    for key, (kind, default, low) in _OPTIONS.items():
         value = config[key]
+        if value is None and default is None:
+            continue
+        if kind is str:
+            # candidate is coerced below, so a config file may give it as a number
+            if key != "candidate" and not isinstance(value, str):
+                raise ValidationError(f"--{key} must be a string")
+            continue
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"--{key} must be an integer")
+        high = MAX_QUBITS if key == "lambda" else None
         if value < low or (high is not None and value > high):
             bound = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise ValidationError(f"--{key} must be {bound}, got {value}")
-
-    need_int("seed", 0)
-    need_int("trials", 1)
-    need_int("lambda", 1, MAX_QUBITS)
-    need_int("ell", 1)
-    need_int("t", 1)
-    need_int("t0", 0)
-    need_int("q", 1)
-    need_int("workers", 1)
-    if config["d"] is not None:
-        need_int("d", 1)
-        if config["d"] > config["lambda"]:
-            raise ValidationError("--d cannot exceed --lambda")
-    if config["w"] is not None:
-        need_int("w", 1)
-    if config["depth"] is not None:
-        need_int("depth", 0)
-    need_int("tprime", 1)
+    if config["d"] is not None and config["d"] > config["lambda"]:
+        raise ValidationError("--d cannot exceed --lambda")
 
     candidate = str(config["candidate"])
     candidate = _CANDIDATE_ALIASES.get(candidate, candidate)
-    if candidate not in _CANDIDATES:
+    if candidate not in _FAMILIES:
         raise ValidationError(
-            f"unknown candidate {config['candidate']!r}; choose from {', '.join(_CANDIDATES)}")
+            f"unknown candidate {config['candidate']!r}; choose from {', '.join(_FAMILIES)}")
     config["candidate"] = candidate
     dense = config["lambda"] > MAX_DENSE_QUBITS
     if dense and candidate == "haar-unitary" and command != "ega-check":
@@ -203,19 +204,9 @@ def _validate(config: dict, command: str) -> None:
 
 
 def _build_instance(config: dict) -> QgaInstance:
-    lam = config["lambda"]
-    candidate = config["candidate"]
-    if candidate == "random-circuit":
-        depth = config["depth"] if config["depth"] is not None else 4
-        return random_circuit_qga(lam, depth)
-    if candidate == "iqp-circuit":
-        return iqp_circuit_qga(lam, config["depth"])
-    if candidate == "iqp-sparse":
-        d = config["d"] if config["d"] is not None else 3
-        return iqp_poly_qga(lam, d, config["w"])
-    if candidate == "haar-unitary":
-        return haar_unitary_qga(lam)
-    return identity_qga(lam)
+    build, keywords = _FAMILIES[config["candidate"]]
+    return build(config["lambda"],
+                 **{kw: config[key] for key, kw in keywords.items() if config[key] is not None})
 
 
 def _public_config(config: dict) -> dict:
@@ -254,15 +245,11 @@ def _cmd_sample(config: dict) -> str:
 
 def _run_game(config: dict):
     gid = config["id"]
-    if gid == "attack-iqp-pru":
-        candidate = 2 if config["candidate"] == "iqp-circuit" else 3
-        degree = config["d"] if config["d"] is not None else 3
-        return games.attack_iqp_fixed_point(
-            config["lambda"], candidate, config["trials"], config["seed"],
-            degree_bound=degree, term_bound=config["w"],
-            num_gates=config["depth"], workers=config["workers"])
-
     instance = _build_instance(config)
+    if gid == "attack-iqp-pru":
+        return games.attack_iqp_fixed_point(instance, config["trials"], config["seed"],
+                                            workers=config["workers"])
+
     run = {"trials": config["trials"], "seed": config["seed"], "workers": config["workers"],
            "record": config["format"] == "csv"}
     if "-vs-" in gid:

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .prfsg import _as_bits
 
@@ -195,6 +194,41 @@ class ClassicalDistributionId(str, Enum):
     NR1 = "nr1"    # Q tuples (g_i*s0, u_i)
 
 
+def _set_and_image(ega: ClassicalEga, shared: tuple[int, ...],
+                   rng: np.random.Generator) -> tuple[int, int]:
+    s = ega.sample_set(rng)
+    return s, ega.act(shared[0], s)
+
+
+def _ddh(ega: ClassicalEga, shared: tuple[int, ...], rng: np.random.Generator,
+         real: bool) -> tuple[int, ...]:
+    g_tilde, g = shared
+    s0 = ega.origin
+    fourth = ega.act(ega.op(g_tilde, g), s0) if real else ega.sample_set(rng)
+    return s0, ega.act(g_tilde, s0), ega.act(g, s0), fourth
+
+
+def _nr(ega: ClassicalEga, shared: tuple[int, ...], rng: np.random.Generator) -> tuple[int, int]:
+    """(g_i*s0, (gt g_i)*s0) with a shared gt drawn up front, else (g_i*s0, u_i)."""
+    g_i = ega.sample_group(rng)
+    second = ega.act(ega.op(shared[0], g_i), ega.origin) if shared else ega.sample_set(rng)
+    return ega.act(g_i, ega.origin), second
+
+
+# A recipe is (group elements drawn up front, Q tuples or one, tuple builder);
+# a builder takes the action, the up-front elements and the generator.
+_RECIPES = {
+    ClassicalDistributionId.PR0: (1, False, lambda e, sh, rng: (e.origin, e.act(sh[0], e.origin))),
+    ClassicalDistributionId.PR1: (0, False, lambda e, sh, rng: (e.origin, e.sample_set(rng))),
+    ClassicalDistributionId.WPR0: (1, True, _set_and_image),
+    ClassicalDistributionId.WPR1: (0, True, lambda e, sh, rng: (e.sample_set(rng), e.sample_set(rng))),
+    ClassicalDistributionId.DDH0: (2, False, lambda e, sh, rng: _ddh(e, sh, rng, real=True)),
+    ClassicalDistributionId.DDH1: (2, False, lambda e, sh, rng: _ddh(e, sh, rng, real=False)),
+    ClassicalDistributionId.NR0: (1, True, _nr),
+    ClassicalDistributionId.NR1: (0, True, _nr),
+}
+
+
 def gen_classical_distribution(
     dist: ClassicalDistributionId | str,
     ega: ClassicalEga,
@@ -202,52 +236,11 @@ def gen_classical_distribution(
     rng: np.random.Generator,
 ) -> list[tuple[int, ...]]:
     """Draw one sample of the named distribution as a list of int tuples."""
-    dist = ClassicalDistributionId(dist)
+    up_front, per_q, build = _RECIPES[ClassicalDistributionId(dist)]
     if q_samples < 1:
         raise ValueError("q_samples must be positive")
-    s0 = ega.origin
-
-    if dist is ClassicalDistributionId.PR0:
-        g = ega.sample_group(rng)
-        return [(s0, ega.act(g, s0))]
-    if dist is ClassicalDistributionId.PR1:
-        return [(s0, ega.sample_set(rng))]
-
-    if dist is ClassicalDistributionId.WPR0:
-        g = ega.sample_group(rng)
-        out = []
-        for _ in range(q_samples):
-            s = ega.sample_set(rng)
-            out.append((s, ega.act(g, s)))
-        return out
-    if dist is ClassicalDistributionId.WPR1:
-        return [(ega.sample_set(rng), ega.sample_set(rng)) for _ in range(q_samples)]
-
-    if dist is ClassicalDistributionId.DDH0:
-        g_tilde = ega.sample_group(rng)
-        g = ega.sample_group(rng)
-        return [(s0, ega.act(g_tilde, s0), ega.act(g, s0),
-                 ega.act(ega.op(g_tilde, g), s0))]
-    if dist is ClassicalDistributionId.DDH1:
-        g_tilde = ega.sample_group(rng)
-        g = ega.sample_group(rng)
-        return [(s0, ega.act(g_tilde, s0), ega.act(g, s0), ega.sample_set(rng))]
-
-    if dist is ClassicalDistributionId.NR0:
-        g_tilde = ega.sample_group(rng)
-        out = []
-        for _ in range(q_samples):
-            g_i = ega.sample_group(rng)
-            out.append((ega.act(g_i, s0), ega.act(ega.op(g_tilde, g_i), s0)))
-        return out
-    if dist is ClassicalDistributionId.NR1:
-        out = []
-        for _ in range(q_samples):
-            g_i = ega.sample_group(rng)
-            out.append((ega.act(g_i, s0), ega.sample_set(rng)))
-        return out
-
-    raise ValueError(f"unhandled distribution {dist}")
+    shared = tuple(ega.sample_group(rng) for _ in range(up_front))
+    return [build(ega, shared, rng) for _ in range(q_samples if per_q else 1)]
 
 
 @dataclass(frozen=True)
@@ -317,6 +310,9 @@ def check_orbit_uniformity(
     size = len(ega.set_elements)
     if size == 1:
         return UniformityReport(0.0, 1.0, trials, 1)
+
+    # imported here: scipy.stats dominates start-up and only this check needs it
+    from scipy import stats
 
     index = {s: i for i, s in enumerate(ega.set_elements)}
     counts = np.zeros(size, dtype=np.int64)

@@ -20,14 +20,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prfsg
+from .circuits import Circuit, sample_haar_unitary, unitary_gate
 from .distributions import DistributionId, gen_distribution
-from .qga import QgaDescription, QgaInstance, apply_qga
+from .qga import VARIANT_GENERIC, QgaDescription, QgaInstance, apply_qga
 from .rng import stream
 from .states import (
     MAX_QUBITS,
     StateVector,
     measure_register_projector,
     orthogonal_state,
+    plus_state,
     projection_prob,
     projection_sample,
     sample_haar_state,
@@ -255,8 +257,8 @@ def run_uc_game(
     """Uncloneability game: with t genuine copies in hand the adversary
     returns t' > t registers; it wins when at least t+1 pass the projector,
     measured register by register with collapse."""
-    if t_prime <= t:
-        raise ValueError("t_prime must exceed t")
+    if not 1 <= t < t_prime:
+        raise ValueError("need 1 <= t < t_prime")
     _check_register_cap(t_prime, qga.num_qubits)
 
     def trial(rng: np.random.Generator) -> bool:
@@ -378,8 +380,8 @@ def run_ucfsg_game(
     """Cloning game on a fresh input: after t genuine copies of the answer at
     x*, the adversary must fill t' > t registers passing the projector at
     least t+1 times."""
-    if t_prime <= t:
-        raise ValueError("t_prime must exceed t")
+    if not 1 <= t < t_prime:
+        raise ValueError("need 1 <= t < t_prime")
 
     def trial(rng: np.random.Generator) -> bool:
         oracle = oracle_factory(rng)
@@ -399,13 +401,9 @@ def run_ucfsg_game(
 # ---------------------------------------------------------------------------
 
 def attack_iqp_fixed_point(
-    num_qubits: int,
-    candidate: int,
+    family: QgaInstance,
     trials: int,
     seed: int,
-    degree_bound: int = 3,
-    term_bound: int | None = None,
-    num_gates: int | None = None,
     workers: int = 1,
 ) -> GameResult:
     """Query the unitary on the uniform superposition and project back onto it.
@@ -413,17 +411,9 @@ def attack_iqp_fixed_point(
     The IQP families fix that state exactly, a Haar unitary only hits it with
     probability 2^-lambda, so one query separates the two worlds.
     """
-    from .qga import iqp_circuit_qga, iqp_poly_qga
-
-    if candidate == 2:
-        family = iqp_circuit_qga(num_qubits, num_gates)
-    elif candidate == 3:
-        family = iqp_poly_qga(num_qubits, degree_bound, term_bound)
-    else:
-        raise ValueError("the fixed-point attack targets candidates 2 and 3")
-
-    from .states import plus_state
-
+    if family.name not in ("iqp-diagonal", "iqp-sparse"):
+        raise ValueError("the fixed-point attack targets the iqp-diagonal and iqp-sparse families")
+    num_qubits = family.num_qubits
     probe = plus_state(num_qubits)
 
     def iqp_trial(rng: np.random.Generator) -> bool:
@@ -431,8 +421,6 @@ def attack_iqp_fixed_point(
         return projection_sample(probe, reply, rng)
 
     def haar_trial(rng: np.random.Generator) -> bool:
-        from .circuits import sample_haar_unitary
-
         u = sample_haar_unitary(num_qubits, rng)
         reply = StateVector(num_qubits, u @ probe.amplitudes)
         return projection_sample(probe, reply, rng)
@@ -462,17 +450,11 @@ def ow_omniscient(ch: OwChallenge, rng: np.random.Generator) -> QgaDescription:
 
 
 def ow_identity(ch: OwChallenge, rng: np.random.Generator) -> QgaDescription:
-    from .circuits import Circuit
-    from .qga import VARIANT_GENERIC
-
     return QgaDescription(VARIANT_GENERIC, ch.qga.num_qubits, Circuit(ch.qga.num_qubits, ()))
 
 
 def ow_orthogonal(ch: OwChallenge, rng: np.random.Generator) -> QgaDescription:
     """Maps |s> onto a state orthogonal to g|s>; drives the estimate to 0."""
-    from .circuits import Circuit, unitary_gate
-    from .qga import VARIANT_GENERIC
-
     n = ch.qga.num_qubits
     w = orthogonal_state(ch.image).amplitudes
     base = ch.base.amplitudes
@@ -515,13 +497,11 @@ def up_orthogonal(ch: UpChallenge, rng: np.random.Generator) -> StateVector:
 
 def uc_echo_junk(ch: UcChallenge, rng: np.random.Generator) -> StateVector:
     """Return the t genuine copies padded with orthogonal junk: never wins."""
-    junk = orthogonal_state(ch.copies)
-    return tensor(*([ch.copies] * ch.t + [junk] * (ch.t_prime - ch.t)))
+    return UcfsgEcho().clone([ch.copies] * ch.t, ch.t_prime, rng)
 
 
 def uc_haar_pad(ch: UcChallenge, rng: np.random.Generator) -> StateVector:
-    pads = [sample_haar_state(ch.qga.num_qubits, rng) for _ in range(ch.t_prime - ch.t)]
-    return tensor(*([ch.copies] * ch.t + pads))
+    return UcfsgHaarPad().clone([ch.copies] * ch.t, ch.t_prime, rng)
 
 
 def uc_cloner(ch: UcChallenge, rng: np.random.Generator) -> StateVector:

@@ -34,9 +34,6 @@ from .qga import (
 )
 from .states import StateVector, projection_prob, sample_haar_state, snap_prob
 
-ORACLE_MODES = ("real", "hybrid", "ideal", "game")
-
-
 def _as_bits(x, ell: int) -> tuple[int, ...]:
     """Normalize an input ('0110', (0,1,1,0), ...) to a bit tuple of length ell."""
     if isinstance(x, str):
@@ -118,69 +115,71 @@ def key_from_json(obj: dict) -> PrfsgKey:
 class StateOracle:
     """Classical-query oracle returning states; records queries and memo hits.
 
-    Repeated queries on the same input return the identical stored state, so
-    transcript consistency is exact, not just high-fidelity.
+    Every rung of the hybrid answers the same way: it memoizes a start state
+    per prefix of the input (the first ``prefix_len`` bits, the whole input
+    unless GameOracle sets fewer) and finishes the answer from it. When the
+    prefix is the whole input, a repeated query returns the identical stored
+    state, so transcript consistency is exact, not just high-fidelity.
     """
 
-    def __init__(self, mode: str, input_length: int, num_qubits: int) -> None:
-        self.mode = mode
+    def __init__(self, input_length: int, num_qubits: int, prefix_len: int | None = None) -> None:
         self.input_length = input_length
         self.num_qubits = num_qubits
+        self.prefix_len = input_length if prefix_len is None else prefix_len
         self.queried: set[tuple[int, ...]] = set()
         self.transcript: list[dict] = []
         self.memo: dict[tuple[int, ...], StateVector] = {}
 
     def query(self, x) -> StateVector:
         bits = _as_bits(x, self.input_length)
-        answer, ref = self._answer(bits)
+        prefix = bits[:self.prefix_len]
+        if prefix not in self.memo:
+            self.memo[prefix] = self._start(prefix)
+        answer = self._finish(bits, self.memo[prefix])
         self.queried.add(bits)
-        self.transcript.append({"x": "".join(map(str, bits)), "answer_ref": ref})
+        self.transcript.append({"x": "".join(map(str, bits)),
+                                "answer_ref": "".join(map(str, prefix))})
         return answer
 
-    def _answer(self, bits: tuple[int, ...]) -> tuple[StateVector, str]:
+    def _start(self, prefix: tuple[int, ...]) -> StateVector:
         raise NotImplementedError
+
+    def _finish(self, bits: tuple[int, ...], start: StateVector) -> StateVector:
+        return start
 
 
 class RealOracle(StateOracle):
     def __init__(self, key: PrfsgKey) -> None:
-        super().__init__("real", key.input_length, key.num_qubits)
+        super().__init__(key.input_length, key.num_qubits)
         self.key = key
 
-    def _answer(self, bits):
-        if bits not in self.memo:
-            self.memo[bits] = state_gen(self.key, bits)
-        return self.memo[bits], "".join(map(str, bits))
+    def _start(self, prefix):
+        return state_gen(self.key, prefix)
 
 
 class HybridOracle(StateOracle):
     """Fresh h_x per distinct input, applied to the base state; memoized."""
 
-    def __init__(self, qga: QgaInstance, ell: int, rng: np.random.Generator,
-                 base_state: StateDescription | None = None) -> None:
-        self.base_state = base_state if base_state is not None else qga.sample_s()
-        super().__init__("hybrid", ell, self.base_state.num_qubits)
+    def __init__(self, qga: QgaInstance, ell: int, rng: np.random.Generator) -> None:
+        self.base_state = qga.sample_s()
+        super().__init__(ell, self.base_state.num_qubits)
         self.qga = qga
         self.rng = rng
 
-    def _answer(self, bits):
-        if bits not in self.memo:
-            h = self.qga.sample_g(self.rng)
-            arr = apply_qga_array(h, self.base_state.expand().amplitudes)
-            self.memo[bits] = StateVector(self.base_state.num_qubits, arr)
-        return self.memo[bits], "".join(map(str, bits))
+    def _start(self, prefix):
+        h = self.qga.sample_g(self.rng)
+        return StateVector(self.num_qubits, apply_qga_array(h, self.base_state.expand().amplitudes))
 
 
 class IdealOracle(StateOracle):
     """Fresh Haar state per distinct input; memoized."""
 
     def __init__(self, num_qubits: int, ell: int, rng: np.random.Generator) -> None:
-        super().__init__("ideal", ell, num_qubits)
+        super().__init__(ell, num_qubits)
         self.rng = rng
 
-    def _answer(self, bits):
-        if bits not in self.memo:
-            self.memo[bits] = sample_haar_state(self.num_qubits, self.rng)
-        return self.memo[bits], "".join(map(str, bits))
+    def _start(self, prefix):
+        return sample_haar_state(self.num_qubits, self.rng)
 
 
 class GameOracle(StateOracle):
@@ -194,58 +193,22 @@ class GameOracle(StateOracle):
                  rng: np.random.Generator) -> None:
         if not 0 <= prefix_len <= key.input_length:
             raise ValueError(f"prefix length {prefix_len} outside [0, {key.input_length}]")
-        super().__init__("game", key.input_length, key.num_qubits)
+        super().__init__(key.input_length, key.num_qubits, prefix_len)
         self.key = key
-        self.prefix_len = prefix_len
         self.qga = qga
         self.rng = rng
-        # memo maps prefixes to their start states; full answers are rebuilt
-        self.memo = {}
 
-    def _answer(self, bits):
-        j = self.prefix_len
-        prefix = bits[:j]
-        if prefix not in self.memo:
-            if j == 0:
-                arr = apply_qga_array(self.key.group_elements[0], self.key.base_state.expand().amplitudes)
-            else:
-                g = self.qga.sample_g(self.rng)
-                arr = apply_qga_array(g, self.key.base_state.expand().amplitudes)
-            self.memo[prefix] = StateVector(self.key.num_qubits, arr)
-        arr = self.memo[prefix].amplitudes
-        for i in range(j + 1, self.key.input_length + 1):
+    def _start(self, prefix):
+        g = self.key.group_elements[0] if self.prefix_len == 0 else self.qga.sample_g(self.rng)
+        return StateVector(self.num_qubits, apply_qga_array(g, self.key.base_state.expand().amplitudes))
+
+    def _finish(self, bits, start):
+        """Apply the keyed tail g_{j+1}..g_ell to the prefix's start state."""
+        arr = start.amplitudes
+        for i in range(self.prefix_len + 1, self.input_length + 1):
             if bits[i - 1]:
                 arr = apply_qga_array(self.key.group_elements[i], arr)
-        return StateVector(self.key.num_qubits, arr), "".join(map(str, prefix))
-
-
-def open_oracle(
-    mode: str,
-    *,
-    key: PrfsgKey | None = None,
-    qga: QgaInstance | None = None,
-    ell: int | None = None,
-    prefix_len: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> StateOracle:
-    """Construct an oracle by mode name; see the class docstrings for semantics."""
-    if mode == "real":
-        if key is None:
-            raise ValueError("real oracle needs a key")
-        return RealOracle(key)
-    if mode == "hybrid":
-        if qga is None or ell is None or rng is None:
-            raise ValueError("hybrid oracle needs qga, ell and rng")
-        return HybridOracle(qga, ell, rng)
-    if mode == "ideal":
-        if qga is None or ell is None or rng is None:
-            raise ValueError("ideal oracle needs qga (for lambda), ell and rng")
-        return IdealOracle(qga.num_qubits, ell, rng)
-    if mode == "game":
-        if key is None or qga is None or prefix_len is None or rng is None:
-            raise ValueError("game oracle needs key, qga, prefix_len and rng")
-        return GameOracle(key, prefix_len, qga, rng)
-    raise ValueError(f"unknown oracle mode {mode!r}; expected one of {ORACLE_MODES}")
+        return StateVector(self.num_qubits, arr)
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_criterion_07_iqp_not_pru_attack():
     # accepts Haar at 2^-4 within 0.01, and separates the two by >= 0.92,
     # all in under 60 seconds at 10^4 trials per side
     started = time.perf_counter()
-    result = attack_iqp_fixed_point(4, 3, trials=10_000, seed=SEED)
+    result = attack_iqp_fixed_point(iqp_poly_qga(4), trials=10_000, seed=SEED)
     elapsed = time.perf_counter() - started
     assert result.detail["iqp_rate"] == 1.0
     assert abs(result.detail["haar_rate"] - 0.0625) < 0.01

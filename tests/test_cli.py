@@ -1,5 +1,9 @@
 """End-to-end runs of the command-line entry point, all in process."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,22 @@ def test_config_file_validation(capsys, tmp_path):
     assert run_cli(capsys, "sample", "--config", str(bad_json))[0] == 2
 
     assert run_cli(capsys, "sample", "--config", str(tmp_path / "absent.json"))[0] == 2
+
+    # string options of the wrong JSON type are rejected before any trial runs
+    for text in ('{"id": "up", "out": 5}', '{"id": 5}', '{"id": ["up"]}',
+                 '{"id": "up", "adversary": ["x"]}'):
+        wrong_type = tmp_path / "wrong-type.json"
+        wrong_type.write_text(text)
+        code, out, err = run_cli(capsys, "game", "--config", str(wrong_type), "--trials", "5")
+        assert (code, out) == (2, ""), text
+        assert "must be a string" in err, text
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates start-up time, and only ega-check needs it
+    code = "import sys, qgalab.cli; sys.exit('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 
 def test_config_file_merge_order(capsys, tmp_path):

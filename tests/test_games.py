@@ -41,7 +41,13 @@ from qgalab.games import (
     wilson_interval,
 )
 from qgalab.prfsg import RealOracle, keygen, state_gen
-from qgalab.qga import haar_unitary_qga, identity_qga, iqp_poly_qga, random_circuit_qga
+from qgalab.qga import (
+    haar_unitary_qga,
+    identity_qga,
+    iqp_circuit_qga,
+    iqp_poly_qga,
+    random_circuit_qga,
+)
 from qgalab.rng import stream
 from qgalab.states import basis_state, projection_prob
 
@@ -143,6 +149,8 @@ def test_uc_validation():
     family = random_circuit_qga(2, depth=2)
     with pytest.raises(ValueError):
         run_uc_game(family, uc_cloner, 1, 3, 3, 10, seed=0)
+    with pytest.raises(ValueError):  # t = 0 leaves the adversary nothing to clone
+        run_uc_game(family, uc_echo_junk, 1, 0, 3, 10, seed=0)
     with pytest.raises(ValueError):
         run_uc_game(random_circuit_qga(7, depth=1), uc_cloner, 1, 2, 3, 10, seed=0)
 
@@ -241,6 +249,8 @@ def test_ucfsg_validation():
     key = keygen(iqp_poly_qga(2), 2, stream(22, "fixed-key"))
     with pytest.raises(ValueError):
         run_ucfsg_game(lambda rng: RealOracle(key), UcfsgEcho(), 2, 2, 10, seed=0)
+    with pytest.raises(ValueError):
+        run_ucfsg_game(lambda rng: RealOracle(key), UcfsgEcho(), 0, 2, 10, seed=0)
     wide = keygen(iqp_poly_qga(7), 2, stream(22, "wide-key"))
     with pytest.raises(ValueError):
         run_ucfsg_game(lambda rng: RealOracle(wide), UcfsgEcho(), 2, 3, 10, seed=0)
@@ -252,7 +262,8 @@ def test_ucfsg_validation():
 
 @pytest.mark.parametrize("candidate", [2, 3])
 def test_attack_iqp_fixed_point(candidate):
-    res = attack_iqp_fixed_point(3, candidate, trials=60, seed=23)
+    family = {2: iqp_circuit_qga, 3: iqp_poly_qga}[candidate](3)
+    res = attack_iqp_fixed_point(family, trials=60, seed=23)
     assert res.detail["iqp_rate"] == 1.0
     assert res.detail["haar_rate"] < 0.4
     assert res.estimate > 0.5
@@ -260,7 +271,7 @@ def test_attack_iqp_fixed_point(candidate):
 
 def test_attack_iqp_rejects_generic_candidate():
     with pytest.raises(ValueError):
-        attack_iqp_fixed_point(3, 1, trials=10, seed=0)
+        attack_iqp_fixed_point(random_circuit_qga(3), trials=10, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ command, every game id and both report formats; the `-vs-` pairs together
 touch all seventeen distribution ids. The random-guess distinguisher ignores
 its sample, so the report hashes alone pin only how many draws a recipe
 makes; the per-distribution sample hashes pin the states themselves and
-which tuple slots share one object.
+which tuple slots share one object. The classical sample hashes pin one
+seeded sample of each classical distribution on the exponentiation action,
+and how many draws it took.
 
 Run ``python tests/test_pinned_outputs.py`` to print the current hashes.
 """
@@ -17,6 +19,12 @@ import pytest
 
 from qgalab.cli import main
 from qgalab.distributions import DistributionId, gen_distribution
+from qgalab.ega import (
+    ClassicalDistributionId,
+    classical_distribution_to_json,
+    gen_classical_distribution,
+    instantiate_exp_action,
+)
 from qgalab.qga import iqp_poly_qga
 from qgalab.rng import stream
 
@@ -143,6 +151,17 @@ SAMPLE_SHA256 = {
     "nrprime1": "06bfaa446744104ec9a026c64664dbc65703efc811cc9a57e2bd855312bf170f",
 }
 
+CLASSICAL_SAMPLE_SHA256 = {
+    "pr0": "c14a17cc6a91fd5e3b19f53727ba0a985995568098cbda4637d1304078cd8f1a",
+    "pr1": "e69f977b9791c415f4709d85c7061c3a0a037406c7e9759de084a67ee09632fe",
+    "wpr0": "89d1e5083a6993d4fc02f4b8af40be65b0bd23a3f89b91980a9f0e96d357c0fd",
+    "wpr1": "00d721c2b1dba72074a6015a9a6b87e03d32ef912db583b3e1223a4e65f45960",
+    "ddh0": "2b63f4a085c7205e9b2f9d2658d39d8d1967ad0ee641270d1db12c4a4a045d8b",
+    "ddh1": "357786136cc04b9f998cdf43c74bb925b9f4f0ea8d1b787078e516460715c277",
+    "nr0": "1d519fa3ebd0c91ead64ba676c8b239f34e9c09c3c8fade3cfaf5c793365dd21",
+    "nr1": "69556cb8502e72614de88437895d2d6609519e957b4f996fffb702355d485db6",
+}
+
 
 def cli_report_sha256(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -169,12 +188,22 @@ def sample_sha256(dist: str) -> str:
     return digest.hexdigest()
 
 
+def classical_sample_sha256(dist: str) -> str:
+    """One seeded sample as JSON, plus the generator's next draw, which pins
+    how many draws the sample consumed."""
+    rng = stream(0, "pinned-classical-sample", dist)
+    sample = gen_classical_distribution(dist, instantiate_exp_action(), q_samples=3, rng=rng)
+    text = classical_distribution_to_json(sample) + f" next={rng.integers(2**32)}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_pins_cover_every_run_and_distribution():
     assert set(CLI_SHA256) == set(CLI_RUNS)
     assert set(SAMPLE_SHA256) == {d.value for d in DistributionId}
     pair_ids = {side for name in CLI_RUNS if "-vs-" in name
                 for side in name.removesuffix("-csv").split("-vs-")}
     assert pair_ids == set(SAMPLE_SHA256)
+    assert set(CLASSICAL_SAMPLE_SHA256) == {d.value for d in ClassicalDistributionId}
 
 
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))
@@ -187,6 +216,11 @@ def test_distribution_sample_bytes_are_pinned(dist):
     assert sample_sha256(dist) == SAMPLE_SHA256[dist]
 
 
+@pytest.mark.parametrize("dist", sorted(d.value for d in ClassicalDistributionId))
+def test_classical_sample_bytes_are_pinned(dist):
+    assert classical_sample_sha256(dist) == CLASSICAL_SAMPLE_SHA256[dist]
+
+
 if __name__ == "__main__":
     print("CLI_SHA256 = {")
     for name in CLI_RUNS:
@@ -194,4 +228,7 @@ if __name__ == "__main__":
     print("}\n\nSAMPLE_SHA256 = {")
     for dist in DistributionId:
         print(f'    "{dist.value}": "{sample_sha256(dist.value)}",')
+    print("}\n\nCLASSICAL_SAMPLE_SHA256 = {")
+    for dist in ClassicalDistributionId:
+        print(f'    "{dist.value}": "{classical_sample_sha256(dist.value)}",')
     print("}")

@@ -17,7 +17,6 @@ from qgalab.prfsg import (
     mac_accept_prob,
     mac_tag,
     mac_verify,
-    open_oracle,
     state_gen,
 )
 from qgalab.qga import apply_qga, iqp_poly_qga, random_circuit_qga, sample_g_candidate3
@@ -168,24 +167,6 @@ def test_game_oracle_prefix_bounds(rng):
         GameOracle(_key(), 3, iqp_poly_qga(2), rng)
     with pytest.raises(ValueError):
         GameOracle(_key(), -1, iqp_poly_qga(2), rng)
-
-
-def test_open_oracle_dispatch(rng):
-    key = _key()
-    family = iqp_poly_qga(2)
-    assert isinstance(open_oracle("real", key=key), RealOracle)
-    assert isinstance(open_oracle("hybrid", qga=family, ell=2, rng=rng), HybridOracle)
-    ideal = open_oracle("ideal", qga=family, ell=2, rng=rng)
-    assert isinstance(ideal, IdealOracle)
-    assert ideal.num_qubits == 2
-    game = open_oracle("game", key=key, qga=family, prefix_len=1, rng=rng)
-    assert isinstance(game, GameOracle)
-    with pytest.raises(ValueError):
-        open_oracle("real")
-    with pytest.raises(ValueError):
-        open_oracle("game", key=key, qga=family, rng=rng)
-    with pytest.raises(ValueError):
-        open_oracle("telepathy", key=key)
 
 
 # ---------------------------------------------------------------------------
