@@ -50,30 +50,33 @@ class SparsePolyF2:
     def sign_vector(self) -> np.ndarray:
         """(-1)^f over all basis indices, qubit j <-> variable x_{j+1}.
 
-        Qubit j sits at amplitude-index bit (num_vars - 1 - j), so each mask is
-        bit-reversed into index space before the vectorized evaluation. The
-        result is cached (read-only) since descriptions are immutable.
+        Computed by the binary Moebius (zeta) transform over GF(2) in
+        O(num_vars * 2^num_vars) time, whatever the term count: the term
+        masks are scattered into a uint8 coefficient table of 2^num_vars
+        bytes, and num_vars in-place XOR butterflies turn entry z into the
+        XOR of the coefficients of all monomials contained in z, which is
+        f(z). Qubit j sits at amplitude-index bit (num_vars - 1 - j), so the
+        table's axes are reversed into index order first; the butterflies
+        treat every axis alike. The result is cached (read-only) since
+        descriptions are immutable.
         """
         cached = self.__dict__.get("_sign_vector")
         if cached is not None:
             return cached
         v = self.num_vars
-        idx = np.arange(2**v)
-        index_masks = np.array([_bit_reverse(m, v) for m in self.terms], dtype=np.int64)
-        hits = (idx[None, :] & index_masks[:, None]) == index_masks[:, None]
-        f = np.bitwise_xor.reduce(hits.astype(np.int64), axis=0)
-        signs = 1.0 - 2.0 * f
+        coeffs = np.zeros(2**v, dtype=np.uint8)
+        coeffs[np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))] = 1
+        f = coeffs.reshape((2,) * v).transpose().reshape(-1)
+        for j in range(v):
+            view = f.reshape(-1, 2, 1 << j)
+            view[:, 1, :] ^= view[:, 0, :]
+        signs = _SIGNS.take(f)
         signs.flags.writeable = False
         self.__dict__["_sign_vector"] = signs
         return signs
 
 
-def _bit_reverse(mask: int, width: int) -> int:
-    out = 0
-    for j in range(width):
-        if mask >> j & 1:
-            out |= 1 << (width - 1 - j)
-    return out
+_SIGNS = np.array([1.0, -1.0])  # (-1)^b for a bit b, as float64
 
 
 def monomial_count(num_vars: int, degree_bound: int) -> int:
@@ -97,14 +100,26 @@ def sample_sparse_poly(
     needed = term_bound
     while needed > 0:
         batch = rng.integers(1, 2**num_vars, size=2 * needed)
-        for mask in batch:
-            mask = int(mask)
-            if mask.bit_count() <= degree_bound:
-                terms.add(mask)
-                needed -= 1
-                if needed == 0:
-                    break
+        accepted = batch[_popcount(batch, num_vars) <= degree_bound][:needed]
+        terms.update(accepted.tolist())
+        needed -= accepted.size
     return SparsePolyF2(num_vars, frozenset(terms), degree_bound, term_bound)
+
+
+def _popcount(masks: np.ndarray, width: int) -> np.ndarray:
+    """Set bits of each mask in [0, 2**width), one 16-bit table lookup per
+    16 bits of width (np.bitwise_count needs numpy 2)."""
+    count = _POPCOUNT16[masks & 0xFFFF if width > 16 else masks]
+    for shift in range(16, width, 16):
+        count = count + _POPCOUNT16[(masks >> shift) & 0xFFFF]
+    return count
+
+
+# popcount of every 16-bit value, built by doubling: the upper half of each
+# step's table is the lower half plus one
+_POPCOUNT16 = np.zeros(1, dtype=np.uint8)
+for _ in range(16):
+    _POPCOUNT16 = np.concatenate([_POPCOUNT16, _POPCOUNT16 + 1])
 
 
 def poly_to_json(poly: SparsePolyF2) -> dict:

@@ -47,7 +47,13 @@ class StateDescription:
             raise ValueError("basis index out of range")
 
     def expand(self) -> StateVector:
-        return basis_state(self.num_qubits, self.basis_index)
+        """The basis state, built on first use and then shared: both the
+        description and the StateVector are immutable."""
+        cached = self.__dict__.get("_state")
+        if cached is None:
+            cached = basis_state(self.num_qubits, self.basis_index)
+            self.__dict__["_state"] = cached
+        return cached
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,6 +102,46 @@ def poly_eval_reference(poly, assignment_bits: list[int]) -> int:
     return value
 
 
+def sign_vector_reference(poly) -> np.ndarray:
+    """(-1)^f over all amplitude indices by dense evaluation: a (terms x 2^n)
+    matrix marks which indices contain each bit-reversed monomial mask, and
+    its columns are XOR-reduced. Memory grows with the term count."""
+    n = poly.num_vars
+    idx = np.arange(2**n)
+    index_masks = np.array([_bit_reverse(m, n) for m in poly.terms], dtype=np.int64)
+    hits = (idx[None, :] & index_masks[:, None]) == index_masks[:, None]
+    f = np.bitwise_xor.reduce(hits.astype(np.int64), axis=0)
+    return 1.0 - 2.0 * f
+
+
+def _bit_reverse(mask: int, width: int) -> int:
+    """Variable j (mask bit j) sits at amplitude-index bit width - 1 - j."""
+    out = 0
+    for j in range(width):
+        if mask >> j & 1:
+            out |= 1 << (width - 1 - j)
+    return out
+
+
+def sample_sparse_poly_terms_reference(num_vars: int, degree_bound: int, term_bound: int,
+                                       rng: np.random.Generator) -> frozenset[int]:
+    """The sampler's rejection loop, one mask at a time: draw batches of
+    2 * needed raw masks and accept, in order, those of popcount <= d until
+    ``term_bound`` draws are accepted (duplicates count)."""
+    terms: set[int] = set()
+    needed = term_bound
+    while needed > 0:
+        batch = rng.integers(1, 2**num_vars, size=2 * needed)
+        for mask in batch:
+            mask = int(mask)
+            if mask.bit_count() <= degree_bound:
+                terms.add(mask)
+                needed -= 1
+                if needed == 0:
+                    break
+    return frozenset(terms)
+
+
 def dense_qga_matrix(desc: QgaDescription) -> np.ndarray:
     """Full unitary of a group-element description, built independently."""
     n = desc.num_qubits

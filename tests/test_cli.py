@@ -10,6 +10,7 @@ import pytest
 
 from qgalab import cli as cli_mod
 from qgalab import games as games_mod
+from qgalab import qga as qga_mod
 from qgalab.cli import main
 from qgalab.games import run_up_game, up_copy
 from qgalab.qga import iqp_poly_qga, qga_from_json
@@ -201,6 +202,16 @@ def test_ske_roundtrip_report(capsys):
     assert report["zero_message"]["estimate"] == 1.0
     assert report["ones_per_bit"]["trials"] == 40
     assert 0.0 <= report["ones_message"]["estimate"] <= 1.0
+
+
+def test_prfsg_eval_builds_the_base_state_once(capsys, monkeypatch):
+    built = []
+    basis_state = qga_mod.basis_state
+    monkeypatch.setattr(qga_mod, "basis_state",
+                        lambda *args: built.append(args) or basis_state(*args))
+    code, _, _ = run_cli(capsys, "prfsg-eval", "--lambda", "4", "--ell", "6", "--seed", "1")
+    assert code == 0
+    assert built == [(4, 0)]  # one key, 64 evaluations
 
 
 def test_money_demo_report(capsys):

@@ -1,5 +1,6 @@
 """Sparse GF(2) polynomials: mask semantics, vectorized signs, sampling."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,48 @@ def test_sign_vector_is_cached_and_read_only(rng):
         first[0] = 5.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sign_vector_matches_dense_reference(data):
+    num_vars = data.draw(st.integers(min_value=1, max_value=12))
+    masks = data.draw(
+        st.sets(st.integers(min_value=1, max_value=2**num_vars - 1), max_size=40)
+    )
+    degree = max((m.bit_count() for m in masks), default=1)
+    poly = SparsePolyF2(num_vars, frozenset(masks), degree, max(len(masks), 1))
+    assert poly.sign_vector().tobytes() == oracles.sign_vector_reference(poly).tobytes()
+
+
+@pytest.mark.parametrize("poly, flipped", [
+    (SparsePolyF2(5, frozenset(), 1, 1), set()),
+    # the degree-lambda monomial fires at the all-ones index only
+    (SparsePolyF2(7, frozenset({2**7 - 1}), 7, 1), {2**7 - 1}),
+    # every admissible monomial at (6, 6): 2^|z| - 1 subsets fire, odd unless z = 0
+    (SparsePolyF2(6, frozenset(range(1, 2**6)), 6, 2**6 - 1), set(range(1, 2**6))),
+    # x1 x2 + x2 x3 cancels wherever both fire, the all-ones index included;
+    # x1 x2 alone fires at indices 0b110*, x2 x3 alone at 0b011*
+    (SparsePolyF2(4, frozenset({0b0011, 0b0110}), 2, 2), {0b1100, 0b1101, 0b0110, 0b0111}),
+], ids=["empty", "single-top-monomial", "all-monomials-6-6", "cancel-at-all-ones"])
+def test_sign_vector_edge_cases(poly, flipped):
+    signs = poly.sign_vector()
+    assert signs.dtype == np.float64
+    assert signs.tobytes() == oracles.sign_vector_reference(poly).tobytes()
+    assert {z for z in range(2**poly.num_vars) if signs[z] == -1.0} == flipped
+
+
+def test_sign_vector_memory_does_not_grow_with_terms():
+    # 256 terms at lambda = 16: a (terms x 2^16) evaluation would take ~150 MB
+    masks = stream(16, "memory").choice(np.arange(1, 2**16), size=256, replace=False)
+    poly = SparsePolyF2(16, frozenset(masks.tolist()), 16, 256)
+    tracemalloc.start()
+    try:
+        poly.sign_vector()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**16 * 8
+
+
 def test_monomial_count():
     assert monomial_count(3, 1) == 3
     assert monomial_count(3, 2) == 6
@@ -116,6 +159,20 @@ def test_sampler_is_deterministic():
     a = sample_sparse_poly(6, 3, 8, stream(9, "poly"))
     b = sample_sparse_poly(6, 3, 8, stream(9, "poly"))
     assert a == b
+
+
+@pytest.mark.parametrize("num_vars, degree_bound, term_bound", [
+    (3, 1, 9), (5, 2, 25), (10, 3, 100), (18, 18, 324), (20, 4, 400), (40, 20, 50),
+])
+def test_sampler_matches_reference_loop(num_vars, degree_bound, term_bound):
+    # same terms, and the generator is left in the same state
+    for seed in range(5):
+        rng, ref_rng = stream(seed, "poly"), stream(seed, "poly")
+        poly = sample_sparse_poly(num_vars, degree_bound, term_bound, rng)
+        ref_terms = oracles.sample_sparse_poly_terms_reference(
+            num_vars, degree_bound, term_bound, ref_rng)
+        assert poly.terms == ref_terms
+        assert rng.random() == ref_rng.random()
 
 
 def test_sampler_is_uniform_over_admissible_masks(rng):

@@ -40,6 +40,7 @@ from qgalab.states import basis_state, plus_state, projection_prob, sample_haar_
 def test_state_description():
     desc = StateDescription(3, 5)
     assert np.array_equal(desc.expand().amplitudes, basis_state(3, 5).amplitudes)
+    assert desc.expand() is desc.expand()
     with pytest.raises(ValueError):
         StateDescription(2, 4)
 
