@@ -1,8 +1,8 @@
 """Gates and circuits over the statevector core.
 
 Gate application reshapes the amplitude buffer to [2]*n, moves the target
-axes to the front and applies the gate matrix to that block. Diagonal gates
-skip the matrix product and just scale the block rows.
+axes to the front and applies the gate matrix to that block; a DIAG gate
+scales the block rows instead. IQP elements bypass this (qga.diagonal).
 
 Dense (explicit-matrix) gates are capped at MAX_DENSE_QUBITS targets; the
 same cap applies to Haar unitary sampling.
@@ -35,7 +35,6 @@ FIXED_GATES: dict[str, np.ndarray] = {
     "CZ": np.diag([1, 1, 1, -1]).astype(np.complex128),
     "CS": np.diag([1, 1, 1, 1j]).astype(np.complex128),
 }
-_DIAGONAL_KINDS = {"Z", "S", "T", "CZ", "CS"}
 GATE_KINDS = tuple(FIXED_GATES) + ("DIAG", "UNITARY")
 
 
@@ -181,9 +180,7 @@ def apply_gate_array(arr: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray
     cube = arr.reshape([2] * num_qubits)
     cube = np.moveaxis(cube, gate.targets, range(k))
     block = cube.reshape(2**k, -1)
-    if gate.kind in _DIAGONAL_KINDS:
-        block = np.diag(FIXED_GATES[gate.kind])[:, None] * block
-    elif gate.kind == "DIAG":
+    if gate.kind == "DIAG":
         block = gate.payload[:, None] * block
     else:
         block = gate.matrix() @ block

@@ -48,35 +48,34 @@ class SparsePolyF2:
         return value
 
     def sign_vector(self) -> np.ndarray:
-        """(-1)^f over all basis indices, qubit j <-> variable x_{j+1}.
-
-        Computed by the binary Moebius (zeta) transform over GF(2) in
-        O(num_vars * 2^num_vars) time, whatever the term count: the term
-        masks are scattered into a uint8 coefficient table of 2^num_vars
-        bytes, and num_vars in-place XOR butterflies turn entry z into the
-        XOR of the coefficients of all monomials contained in z, which is
-        f(z). Qubit j sits at amplitude-index bit (num_vars - 1 - j), so the
-        table's axes are reversed into index order first; the butterflies
-        treat every axis alike. The result is cached (read-only) since
-        descriptions are immutable.
-        """
+        """(-1)^f over all basis indices, qubit j <-> variable x_{j+1}: the
+        parity of ``subset_sums`` of the 0/1 term table, in O(num_vars *
+        2^num_vars) time whatever the term count. Cached and read-only, since
+        descriptions are immutable."""
         cached = self.__dict__.get("_sign_vector")
-        if cached is not None:
-            return cached
-        v = self.num_vars
-        coeffs = np.zeros(2**v, dtype=np.uint8)
-        coeffs[np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))] = 1
-        f = coeffs.reshape((2,) * v).transpose().reshape(-1)
-        for j in range(v):
-            view = f.reshape(-1, 2, 1 << j)
-            view[:, 1, :] ^= view[:, 0, :]
-        signs = _SIGNS.take(f)
-        signs.flags.writeable = False
-        self.__dict__["_sign_vector"] = signs
-        return signs
+        if cached is None:
+            coeffs = np.zeros(2**self.num_vars, dtype=np.uint8)
+            coeffs[np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))] = 1
+            cached = _PARITY_SIGNS.take(subset_sums(coeffs))
+            cached.flags.writeable = False
+            self.__dict__["_sign_vector"] = cached
+        return cached
 
 
-_SIGNS = np.array([1.0, -1.0])  # (-1)^b for a bit b, as float64
+_PARITY_SIGNS = np.where(np.arange(256) & 1, -1.0, 1.0)  # (-1)^s for a uint8 s
+
+
+def subset_sums(coeffs: np.ndarray) -> np.ndarray:
+    """Binary zeta (Moebius) transform of a uint8 table of 2^v entries indexed
+    by monomial mask: entry z of the result sums coeffs[m], mod 256, over every
+    m contained in z, in O(v * 2^v) time. The result is indexed by amplitude
+    (mask bit j is index bit v - 1 - j), so the axes are reversed first."""
+    v = coeffs.size.bit_length() - 1
+    sums = coeffs.reshape((2,) * v).transpose().copy().reshape(-1)
+    for j in range(v):
+        view = sums.reshape(-1, 2, 1 << j)
+        view[:, 1, :] += view[:, 0, :]  # uint8 array arithmetic wraps silently
+    return sums
 
 
 def monomial_count(num_vars: int, degree_bound: int) -> int:

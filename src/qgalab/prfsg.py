@@ -26,6 +26,7 @@ from .qga import (
     QgaDescription,
     QgaInstance,
     StateDescription,
+    apply_qga,
     apply_qga_array,
     qga_from_json,
     qga_to_json,
@@ -83,8 +84,7 @@ def keygen(qga: QgaInstance, ell: int, rng: np.random.Generator) -> PrfsgKey:
 def state_gen(key: PrfsgKey, x) -> StateVector:
     """Evaluate the keyed generator on a classical input."""
     bits = _as_bits(x, key.input_length)
-    arr = key.base_state.expand().amplitudes
-    arr = apply_qga_array(key.group_elements[0], arr)
+    arr = apply_qga_array(key.group_elements[0], key.base_state.expand().amplitudes)
     for i, bit in enumerate(bits, start=1):
         if bit:
             arr = apply_qga_array(key.group_elements[i], arr)
@@ -168,7 +168,7 @@ class HybridOracle(StateOracle):
 
     def _start(self, prefix):
         h = self.qga.sample_g(self.rng)
-        return StateVector(self.num_qubits, apply_qga_array(h, self.base_state.expand().amplitudes))
+        return apply_qga(h, self.base_state.expand())
 
 
 class IdealOracle(StateOracle):
@@ -200,7 +200,7 @@ class GameOracle(StateOracle):
 
     def _start(self, prefix):
         g = self.key.group_elements[0] if self.prefix_len == 0 else self.qga.sample_g(self.rng)
-        return StateVector(self.num_qubits, apply_qga_array(g, self.key.base_state.expand().amplitudes))
+        return apply_qga(g, self.key.base_state.expand())
 
     def _finish(self, bits, start):
         """Apply the keyed tail g_{j+1}..g_ell to the prefix's start state."""

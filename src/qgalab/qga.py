@@ -10,12 +10,12 @@ tests and games:
 
   1. generic-circuit: a brickwork of independent Haar-random two-qubit blocks.
   2. iqp-diagonal-circuit: H^(x)n . D . H^(x)n with D a random word over
-     {T, CS} on random wires.
+     {T, CS} on random wires: a Z_8 phase polynomial (see diagonal()).
   3. iqp-sparse-poly: same sandwich with D|x> = (-1)^{f(x)}|x> for a random
      sparse GF(2) polynomial f with f(0) = 0.
 
-Candidates 2 and 3 commute pairwise (their diagonals commute) and fix the
-uniform superposition exactly.
+Candidates 2 and 3 share one path, H . diagonal() . H; they commute pairwise
+and fix the uniform superposition exactly.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import circuits as qc
 from .circuits import Circuit, Gate
-from .gf2poly import SparsePolyF2, poly_from_json, poly_to_json, sample_sparse_poly
+from .gf2poly import SparsePolyF2, poly_from_json, poly_to_json, sample_sparse_poly, subset_sums
 from .states import StateVector, basis_state
 
 VARIANT_GENERIC = "generic-circuit"
@@ -87,30 +87,37 @@ class QgaDescription:
             and self.body == other.body
         )
 
-    def expand(self) -> Circuit:
-        """Full unitary circuit, with the H sandwich made explicit for IQP variants."""
-        n = self.num_qubits
-        if self.variant == VARIANT_GENERIC:
-            return self.body
-        layer = tuple(qc.h(q) for q in range(n))
-        if self.variant == VARIANT_IQP_CIRCUIT:
-            return Circuit(n, layer + self.body.gates + layer)
-        diag = Gate("DIAG", tuple(range(n)), self.body.sign_vector().astype(np.complex128))
-        return Circuit(n, layer + (diag,) + layer)
+    def diagonal(self) -> np.ndarray:
+        """D of an IQP element H^(x)n . D . H^(x)n, cached and read-only: (-1)^f for
+        iqp-sparse-poly; omega^k(x), omega = e^{i pi/4}, for iqp-diagonal-circuit,
+        where k(x) sums the weights of the monomials contained in x: each T on q
+        weighs 1 at monomial {q}, each CS on (a, b) weighs 2 at {a, b}."""
+        if self.variant == VARIANT_IQP_POLY:
+            return self.body.sign_vector()
+        if self.variant != VARIANT_IQP_CIRCUIT:
+            raise ValueError(f"{self.variant} has no diagonal form")
+        cached = self.__dict__.get("_diagonal")
+        if cached is None:
+            weights = np.zeros(2**self.num_qubits, dtype=np.uint8)
+            for g in self.body.gates:
+                mask = sum(1 << q for q in g.targets)
+                weights[mask] = (weights[mask] + (2 if g.kind == "CS" else 1)) % 8
+            cached = _OMEGA_POWERS.take(subset_sums(weights))
+            cached.flags.writeable = False
+            self.__dict__["_diagonal"] = cached
+        return cached
+
+
+_OMEGA_POWERS = np.exp(1j * np.pi / 4 * (np.arange(256) % 8))  # omega^s, uint8 s; 8 | 256
 
 
 def apply_qga_array(desc: QgaDescription, arr: np.ndarray) -> np.ndarray:
-    """Apply a group element to a raw amplitude array."""
+    """Apply a group element to a raw amplitude array; IQP elements as H.D.H."""
     if arr.shape != (2**desc.num_qubits,):
         raise ValueError("state dimension does not match the group element")
     if desc.variant == VARIANT_GENERIC:
         return qc.run_circuit_array(desc.body, arr)
-    out = qc.hadamard_layer_array(arr)
-    if desc.variant == VARIANT_IQP_CIRCUIT:
-        out = qc.run_circuit_array(desc.body, out)
-    else:
-        out = out * desc.body.sign_vector()
-    return qc.hadamard_layer_array(out)
+    return qc.hadamard_layer_array(qc.hadamard_layer_array(arr) * desc.diagonal())
 
 
 def apply_qga(desc: QgaDescription, state: StateVector) -> StateVector:
@@ -236,11 +243,8 @@ def identity_qga(num_qubits: int) -> QgaInstance:
 # ---------------------------------------------------------------------------
 
 def qga_to_json(desc: QgaDescription) -> dict:
-    if desc.variant == VARIANT_IQP_POLY:
-        body = poly_to_json(desc.body)
-    else:
-        body = qc.circuit_to_json(desc.body)
-    return {"variant": desc.variant, "num_qubits": desc.num_qubits, "body": body}
+    to_json = poly_to_json if desc.variant == VARIANT_IQP_POLY else qc.circuit_to_json
+    return {"variant": desc.variant, "num_qubits": desc.num_qubits, "body": to_json(desc.body)}
 
 
 def qga_from_json(obj: dict) -> QgaDescription:

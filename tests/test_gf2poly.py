@@ -114,10 +114,13 @@ def test_sign_vector_matches_dense_reference(data):
     (SparsePolyF2(7, frozenset({2**7 - 1}), 7, 1), {2**7 - 1}),
     # every admissible monomial at (6, 6): 2^|z| - 1 subsets fire, odd unless z = 0
     (SparsePolyF2(6, frozenset(range(1, 2**6)), 6, 2**6 - 1), set(range(1, 2**6))),
+    # the same at (9, 9): the all-ones entry sums 511 terms, past the uint8 wrap
+    (SparsePolyF2(9, frozenset(range(1, 2**9)), 9, 2**9 - 1), set(range(1, 2**9))),
     # x1 x2 + x2 x3 cancels wherever both fire, the all-ones index included;
     # x1 x2 alone fires at indices 0b110*, x2 x3 alone at 0b011*
     (SparsePolyF2(4, frozenset({0b0011, 0b0110}), 2, 2), {0b1100, 0b1101, 0b0110, 0b0111}),
-], ids=["empty", "single-top-monomial", "all-monomials-6-6", "cancel-at-all-ones"])
+], ids=["empty", "single-top-monomial", "all-monomials-6-6", "all-monomials-9-9",
+        "cancel-at-all-ones"])
 def test_sign_vector_edge_cases(poly, flipped):
     signs = poly.sign_vector()
     assert signs.dtype == np.float64

@@ -127,7 +127,7 @@ CLI_SHA256 = {
     "ske-roundtrip": "e8fc26ac98cff020014eb8621656934bae1dbf85114ab30cf1979aa830cc044d",
     "money-demo": "57dda8f0fe2debcaa42e25fcdbd751549a619acaec38b2abedd60c591723eb09",
     "prfsg-eval-iqp-sparse": "fe453a12687a3e2727d8f95a0780ba530c972df80488c7bc8efb409bcb360674",
-    "prfsg-eval-iqp-circuit": "396f114321a6660a8987d0cf25edb054ebc43ad103acf1c9bd3152db34e42270",
+    "prfsg-eval-iqp-circuit": "04536301c36ad957da98a33c13bd72bdc0665c07484e3fe1ba2b3e82c6b34872",
     "ega-check": "40d95e609ce6eadd40ccda1a4ec3eebe26677ef7c3251ffeb7bbbdf15ce6bce6",
 }
 

@@ -1,10 +1,13 @@
 """The three candidate unitary families and the two reference families."""
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from qgalab import circuits as qc
 from qgalab.circuits import Circuit, cs, h, t
 from qgalab.gf2poly import SparsePolyF2
 from qgalab.qga import (
@@ -77,7 +80,7 @@ def test_description_equality(rng):
 
 
 # ---------------------------------------------------------------------------
-# application and expansion agree with independent dense matrices
+# application and diagonals agree with independent dense matrices
 # ---------------------------------------------------------------------------
 
 def _sample_each_variant(n, rng):
@@ -97,14 +100,64 @@ def test_apply_matches_dense_oracle(rng):
         assert np.max(np.abs(fast - dense @ psi.amplitudes)) < 1e-10
 
 
-def test_expand_matches_apply(rng):
-    from qgalab.circuits import run_circuit
+@st.composite
+def _iqp_words(draw):
+    """A {T, CS} word on 1..8 qubits; a small wire pool makes repeats common."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    wire = st.integers(min_value=0, max_value=n - 1)
+    gate = wire.map(t)
+    if n >= 2:
+        pair = st.lists(wire, min_size=2, max_size=2, unique=True)
+        gate = st.one_of(gate, pair.map(lambda ab: cs(*ab)))
+    return Circuit(n, tuple(draw(st.lists(gate, max_size=24))))
 
-    for desc in _sample_each_variant(3, rng):
-        psi = sample_haar_state(3, rng)
-        via_circuit = run_circuit(desc.expand(), psi).amplitudes
-        direct = apply_qga(desc, psi).amplitudes
-        assert np.max(np.abs(via_circuit - direct)) < 1e-10
+
+@settings(max_examples=40, deadline=None)
+@given(_iqp_words())
+def test_circuit_diagonal_matches_dense_word(word):
+    desc = QgaDescription(VARIANT_IQP_CIRCUIT, word.num_qubits, word)
+    dense = np.diag(oracles.dense_circuit_matrix(word))
+    assert np.max(np.abs(desc.diagonal() - dense)) < 1e-12
+
+
+def _circuit_diagonal(n, gates):
+    return QgaDescription(VARIANT_IQP_CIRCUIT, n, Circuit(n, tuple(gates))).diagonal()
+
+
+def test_circuit_diagonal_exact_cases():
+    empty = _circuit_diagonal(3, [])
+    assert empty.dtype == np.complex128
+    assert empty.tobytes() == np.full(8, 1 + 0j).tobytes()
+    assert _circuit_diagonal(3, [t(1)] * 8).tobytes() == empty.tobytes()  # T^8 = I
+    assert _circuit_diagonal(3, [cs(0, 2)] * 4).tobytes() == empty.tobytes()  # CS^4 = I
+    assert _circuit_diagonal(3, [cs(0, 2)]).tobytes() == _circuit_diagonal(3, [cs(2, 0)]).tobytes()
+
+
+def test_circuit_diagonal_long_word_wraps_silently():
+    # 500 T and 500 CS: the raw weights (500 and 1,000) pass 255
+    word = Circuit(2, (t(0), cs(0, 1)) * 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = QgaDescription(VARIANT_IQP_CIRCUIT, 2, word).diagonal()
+    assert np.max(np.abs(diag - np.diag(oracles.dense_circuit_matrix(word)))) < 1e-12
+
+
+def test_diagonal_is_cached_and_read_only(rng):
+    for desc in _sample_each_variant(3, rng)[1:]:
+        assert desc.diagonal() is desc.diagonal()
+        assert not desc.diagonal().flags.writeable
+    with pytest.raises(ValueError):
+        sample_g_candidate1(3, 1, rng).diagonal()
+
+
+def test_iqp_families_never_run_the_gate_loop(rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an IQP element went through run_circuit_array")
+
+    monkeypatch.setattr(qc, "run_circuit_array", refuse)
+    psi = sample_haar_state(4, rng)
+    for family in (iqp_circuit_qga(4), iqp_poly_qga(4)):
+        apply_qga(family.sample_g(rng), psi)
 
 
 def test_apply_dimension_checks(rng):
