@@ -2,7 +2,9 @@
 
 Gate application reshapes the amplitude buffer to [2]*n, moves the target
 axes to the front and applies the gate matrix to that block; a DIAG gate
-scales the block rows instead. IQP elements bypass this (qga.diagonal).
+scales the block rows instead. IQP elements bypass this: H . qga.diagonal . H,
+with the Walsh-Hadamard layer H a dense matrix up to 8 qubits and, above, a
+butterfly that runs its low-bit stages on a transposed copy.
 
 Dense (explicit-matrix) gates are capped at MAX_DENSE_QUBITS targets; the
 same cap applies to Haar unitary sampling.
@@ -15,7 +17,6 @@ from typing import Callable
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import qr
 
 from .states import ATOL, StateVector
 
@@ -206,22 +207,32 @@ def _walsh_matrix(dim: int) -> np.ndarray:
     return m
 
 
-def hadamard_layer_array(arr: np.ndarray) -> np.ndarray:
-    """H on every qubit: cached dense transform when small, butterfly above."""
-    a = np.asarray(arr, dtype=np.complex128)
-    n = a.size
-    if n <= 256:
-        return _walsh_matrix(n) @ a
-    a = a.copy()
-    half = 1
-    while half < n:
+def _butterfly_stages(a: np.ndarray, half: int) -> None:
+    """In place, pairs half, 2 half, ... apart: (x, y) -> (x + y, -1.0 y + x)."""
+    while half < a.size:
         view = a.reshape(-1, 2, half)
         top = view[:, 0, :].copy()
         view[:, 0, :] += view[:, 1, :]
         view[:, 1, :] *= -1.0
         view[:, 1, :] += top
         half *= 2
-    return a / np.sqrt(n)
+
+
+def hadamard_layer_array(arr: np.ndarray) -> np.ndarray:
+    """H on every qubit: a cached dense transform up to 8 qubits. Above, for k qubits,
+    the radix-2 butterfly with its floor(k/2) low-bit stages run on a transposed copy,
+    so each stage pairs runs of 2^floor(k/2) or more; same operations, same bytes."""
+    a = np.asarray(arr, dtype=np.complex128)
+    n = a.size
+    if n <= 256:
+        return _walsh_matrix(n) @ a
+    cols = 1 << ((n.bit_length() - 1) // 2)
+    out = a.reshape(-1, cols).T.copy()
+    _butterfly_stages(out.reshape(-1), n // cols)
+    out = np.ascontiguousarray(out.T).reshape(-1)
+    _butterfly_stages(out, cols)
+    out /= np.sqrt(n)
+    return out
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -256,6 +267,7 @@ def sample_haar_unitary(num_qubits: int, rng: np.random.Generator) -> np.ndarray
     if not 1 <= num_qubits <= MAX_DENSE_QUBITS:
         raise ValueError(f"dense Haar sampling capped at {MAX_DENSE_QUBITS} qubits")
     dim = 2**num_qubits
+    from scipy.linalg import qr  # imported here: it slows CLI start-up, and only this needs it
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / _SQRT2
     q, r = qr(g)
     d = np.diag(r)

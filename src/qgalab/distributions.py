@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qga import QgaDescription, QgaInstance, apply_qga
+from .qga import QgaDescription, QgaInstance, apply_qga, apply_qga_start
 from .states import StateVector, sample_haar_state
 
 
@@ -51,11 +51,15 @@ class _Draw:
     def __init__(self, qga: QgaInstance, up_front: int, rng: np.random.Generator) -> None:
         self.qga = qga
         self.rng = rng
-        self.s0 = qga.sample_s().expand()
+        self.start = qga.sample_s()
+        self.s0 = self.start.expand()
         self.shared = tuple(qga.sample_g(rng) for _ in range(up_front))
 
     def g(self) -> QgaDescription:
         return self.qga.sample_g(self.rng)
+
+    def act(self, g: QgaDescription) -> StateVector:
+        return apply_qga_start(g, self.start)
 
     def haar(self) -> StateVector:
         return sample_haar_state(self.qga.num_qubits, self.rng)
@@ -73,13 +77,13 @@ def _haar_pair(d: _Draw) -> tuple[StateVector, StateVector]:
 
 def _ddh(d: _Draw, real: bool) -> tuple[StateVector, ...]:
     g_tilde, g = d.shared
-    third = apply_qga(g, d.s0)
-    fourth = apply_qga(g_tilde, third) if real else apply_qga(d.g(), d.s0)
-    return d.s0, apply_qga(g_tilde, d.s0), third, fourth
+    third = d.act(g)
+    fourth = apply_qga(g_tilde, third) if real else d.act(d.g())
+    return d.s0, d.act(g_tilde), third, fourth
 
 
 def _nr0(d: _Draw) -> tuple[StateVector, StateVector]:
-    first = apply_qga(d.g(), d.s0)
+    first = d.act(d.g())
     return first, apply_qga(d.shared[0], first)
 
 
@@ -91,9 +95,9 @@ _FRESH_HAAR_PAIRS = (_FRESH, 0, _haar_pair)
 _HAAR_AND_SHARED_IMAGE = (_FRESH, 1, _haar_and_image)
 
 _RECIPES = {
-    DistributionId.PR0: (_ONE, 0, lambda d: (d.s0, apply_qga(d.g(), d.s0))),
+    DistributionId.PR0: (_ONE, 0, lambda d: (d.s0, d.act(d.g()))),
     DistributionId.PR1: (_ONE, 0, lambda d: (d.s0, d.haar())),
-    DistributionId.PRQ0: (_FRESH, 0, lambda d: (apply_qga(d.g(), d.s0),)),
+    DistributionId.PRQ0: (_FRESH, 0, lambda d: (d.act(d.g()),)),
     DistributionId.PRQ1: (_FRESH, 0, lambda d: (d.haar(),)),
     DistributionId.HAAR_PR0: (_ONE, 0, _haar_and_image),
     DistributionId.HAAR_PR1: (_ONE, 0, _haar_pair),
@@ -104,7 +108,7 @@ _RECIPES = {
     DistributionId.HAAR_DDH0: _HAAR_AND_SHARED_IMAGE,
     DistributionId.HAAR_DDH1: _FRESH_HAAR_AND_IMAGE,
     DistributionId.NR0: (_FRESH, 1, _nr0),
-    DistributionId.NR1: (_FRESH, 0, lambda d: (apply_qga(d.g(), d.s0), apply_qga(d.g(), d.s0))),
+    DistributionId.NR1: (_FRESH, 0, lambda d: (d.act(d.g()), d.act(d.g()))),
     DistributionId.NR_PRIME: _FRESH_HAAR_AND_IMAGE,
     DistributionId.NR_PRIME0: _HAAR_AND_SHARED_IMAGE,
     DistributionId.NR_PRIME1: _FRESH_HAAR_PAIRS,

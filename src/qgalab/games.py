@@ -22,7 +22,7 @@ import numpy as np
 from . import prfsg
 from .circuits import Circuit, sample_haar_unitary, unitary_gate
 from .distributions import DistributionId, gen_distribution
-from .qga import VARIANT_GENERIC, QgaDescription, QgaInstance, apply_qga
+from .qga import VARIANT_GENERIC, QgaDescription, QgaInstance, apply_qga, apply_qga_start
 from .rng import stream
 from .states import (
     MAX_QUBITS,
@@ -183,12 +183,16 @@ class UcChallenge:
     secret_g: QgaDescription
 
 
-def _sample_base(qga: QgaInstance, source: str, rng: np.random.Generator) -> StateVector:
-    if source == "action":
-        return qga.sample_s().expand()
-    if source == "haar":
-        return sample_haar_state(qga.num_qubits, rng)
-    raise ValueError(f"unknown base-state source {source!r}; expected 'action' or 'haar'")
+def _challenge(
+    qga: QgaInstance, source: str, rng: np.random.Generator
+) -> tuple[StateVector, QgaDescription, StateVector]:
+    """(base, g, g|base>), the base drawn before g."""
+    if source not in ("action", "haar"):
+        raise ValueError(f"unknown base-state source {source!r}; expected 'action' or 'haar'")
+    start = qga.sample_s()
+    base = start.expand() if source == "action" else sample_haar_state(qga.num_qubits, rng)
+    g = qga.sample_g(rng)
+    return base, g, apply_qga_start(g, start) if source == "action" else apply_qga(g, base)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +212,9 @@ def run_ow_game(
     g|s> onto g'|s>, so success probability is |<s|(g')^dag g|s>|^2."""
 
     def trial(rng: np.random.Generator) -> bool:
-        base = qga.sample_s().expand()
-        g = qga.sample_g(rng)
-        image = apply_qga(g, base)
+        base, g, image = _challenge(qga, "action", rng)
         guess = adversary(OwChallenge(qga, t, base, image, g), rng)
-        return projection_sample(image, apply_qga(guess, base), rng)
+        return projection_sample(image, apply_qga_start(guess, qga.sample_s()), rng)
 
     successes, outcomes = run_trials(trial, trials, seed, "ow", workers, record)
     return _result(successes, trials, seed, None, outcomes)
@@ -232,9 +234,7 @@ def run_up_game(
     output a state close to g|s>; scored by a sampled projection."""
 
     def trial(rng: np.random.Generator) -> bool:
-        base = _sample_base(qga, source, rng)
-        g = qga.sample_g(rng)
-        target = apply_qga(g, base)
+        base, g, target = _challenge(qga, source, rng)
         forged = adversary(UpChallenge(qga, t, base, g, target), rng)
         return projection_sample(target, forged, rng)
 
@@ -262,9 +262,7 @@ def run_uc_game(
     _check_register_cap(t_prime, qga.num_qubits)
 
     def trial(rng: np.random.Generator) -> bool:
-        base = _sample_base(qga, source, rng)
-        g = qga.sample_g(rng)
-        target = apply_qga(g, base)
+        base, g, target = _challenge(qga, source, rng)
         joint = adversary(UcChallenge(qga, t0, t, t_prime, base, target, g), rng)
         return _count_hits(joint, t_prime, target, rng) >= t + 1
 

@@ -26,8 +26,8 @@ from .qga import (
     QgaDescription,
     QgaInstance,
     StateDescription,
-    apply_qga,
     apply_qga_array,
+    apply_qga_start,
     qga_from_json,
     qga_to_json,
     state_desc_from_json,
@@ -84,7 +84,7 @@ def keygen(qga: QgaInstance, ell: int, rng: np.random.Generator) -> PrfsgKey:
 def state_gen(key: PrfsgKey, x) -> StateVector:
     """Evaluate the keyed generator on a classical input."""
     bits = _as_bits(x, key.input_length)
-    arr = apply_qga_array(key.group_elements[0], key.base_state.expand().amplitudes)
+    arr = apply_qga_start(key.group_elements[0], key.base_state).amplitudes
     for i, bit in enumerate(bits, start=1):
         if bit:
             arr = apply_qga_array(key.group_elements[i], arr)
@@ -168,7 +168,7 @@ class HybridOracle(StateOracle):
 
     def _start(self, prefix):
         h = self.qga.sample_g(self.rng)
-        return apply_qga(h, self.base_state.expand())
+        return apply_qga_start(h, self.base_state)
 
 
 class IdealOracle(StateOracle):
@@ -200,7 +200,7 @@ class GameOracle(StateOracle):
 
     def _start(self, prefix):
         g = self.key.group_elements[0] if self.prefix_len == 0 else self.qga.sample_g(self.rng)
-        return apply_qga(g, self.key.base_state.expand())
+        return apply_qga_start(g, self.key.base_state)
 
     def _finish(self, bits, start):
         """Apply the keyed tail g_{j+1}..g_ell to the prefix's start state."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qga import QgaDescription, QgaInstance, StateDescription, apply_qga, apply_qga_array
+from .qga import QgaDescription, QgaInstance, StateDescription, apply_qga, apply_qga_array, apply_qga_start
 from .states import (
     StateVector,
     projection_prob,
@@ -49,7 +49,7 @@ class ActionKey:
 
     def image(self) -> StateVector:
         """g|s>."""
-        return apply_qga(self.group_desc, self.state_desc.expand())
+        return apply_qga_start(self.group_desc, self.state_desc)
 
 
 def action_keygen(qga: QgaInstance, rng: np.random.Generator) -> ActionKey:

@@ -15,11 +15,14 @@ tests and games:
      sparse GF(2) polynomial f with f(0) = 0.
 
 Candidates 2 and 3 share one path, H . diagonal() . H; they commute pairwise
-and fix the uniform superposition exactly.
+and fix the uniform superposition exactly. apply_qga_start acts on the start
+state and reuses its cached first layer H^(x)n|s>, so an IQP image costs one
+Walsh-Hadamard layer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,14 +49,18 @@ class StateDescription:
         if not 0 <= self.basis_index < 2**self.num_qubits:
             raise ValueError("basis index out of range")
 
+    @lru_cache(maxsize=8)
     def expand(self) -> StateVector:
-        """The basis state, built on first use and then shared: both the
-        description and the StateVector are immutable."""
-        cached = self.__dict__.get("_state")
-        if cached is None:
-            cached = basis_state(self.num_qubits, self.basis_index)
-            self.__dict__["_state"] = cached
-        return cached
+        """The basis state: one immutable StateVector shared by equal descriptions."""
+        return basis_state(self.num_qubits, self.basis_index)
+
+
+@lru_cache(maxsize=8)
+def _first_layer(start: StateDescription) -> np.ndarray:
+    """H^(x)n|s>, read-only: the first layer of every IQP start-state image."""
+    first = qc.hadamard_layer_array(start.expand().amplitudes)
+    first.flags.writeable = False
+    return first
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +131,14 @@ def apply_qga(desc: QgaDescription, state: StateVector) -> StateVector:
     if state.num_qubits != desc.num_qubits:
         raise ValueError("state and group element qubit counts differ")
     return StateVector(state.num_qubits, apply_qga_array(desc, state.amplitudes))
+
+
+def apply_qga_start(desc: QgaDescription, start: StateDescription) -> StateVector:
+    """g|s>, byte for byte apply_qga(desc, start.expand()); an IQP element reuses the
+    cached first layer H^(x)n|s> and computes only H . D . (that layer)."""
+    if desc.variant == VARIANT_GENERIC or start.num_qubits != desc.num_qubits:
+        return apply_qga(desc, start.expand())
+    return StateVector(desc.num_qubits, qc.hadamard_layer_array(_first_layer(start) * desc.diagonal()))
 
 
 def sample_s(num_qubits: int) -> StateDescription:

@@ -85,6 +85,22 @@ def hadamard_all(num_qubits: int) -> np.ndarray:
     return m
 
 
+def hadamard_layer_reference(arr: np.ndarray) -> np.ndarray:
+    """The plain in-place radix-2 butterfly over the natural amplitude order,
+    stage by stage from the lowest bit: (x, y) -> (x + y, -1.0 y + x)."""
+    a = np.array(arr, dtype=np.complex128)
+    n = a.size
+    half = 1
+    while half < n:
+        view = a.reshape(-1, 2, half)
+        top = view[:, 0, :].copy()
+        view[:, 0, :] += view[:, 1, :]
+        view[:, 1, :] *= -1.0
+        view[:, 1, :] += top
+        half *= 2
+    return a / np.sqrt(n)
+
+
 def poly_eval_reference(poly, assignment_bits: list[int]) -> int:
     """XOR-of-ANDs evaluation straight from the monomial masks."""
     value = 0

@@ -266,6 +266,40 @@ def test_hadamard_layer_sends_zero_to_plus():
     assert np.max(np.abs(out - plus_state(4).amplitudes)) < 1e-12
 
 
+def _hadamard_inputs(num_qubits: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    dim = 2**num_qubits
+    uniform = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    # -0-0j on the first half, +0 on the second: the output's zero signs tell
+    # -1.0 y + x apart from x - y, which differ only in the sign of zero
+    signed_zeros = np.zeros(dim, dtype=np.complex128)
+    signed_zeros[: dim // 2] = complex(-0.0, -0.0)
+    return {
+        "random": rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+        "basis": basis_state(num_qubits, 3).amplitudes,
+        "uniform": uniform,
+        "h-uniform": oracles.hadamard_layer_reference(uniform),
+        "signed-zeros": signed_zeros,
+    }
+
+
+@pytest.mark.parametrize("num_qubits", [9, 13, 16, 17, 18])
+def test_hadamard_layer_is_byte_identical_to_plain_butterfly(num_qubits):
+    # odd and even qubit counts split the transposed low stages differently
+    rng = np.random.default_rng(num_qubits)
+    for name, amps in _hadamard_inputs(num_qubits, rng).items():
+        expected = oracles.hadamard_layer_reference(amps)
+        assert hadamard_layer_array(amps).tobytes() == expected.tobytes(), name
+
+
+def test_hadamard_layer_accepts_and_keeps_read_only_input(rng):
+    psi = sample_haar_state(10, rng)
+    before = psi.amplitudes.tobytes()
+    out = hadamard_layer_array(psi.amplitudes)
+    assert psi.amplitudes.tobytes() == before
+    assert out.flags.writeable
+    assert out.tobytes() == oracles.hadamard_layer_reference(psi.amplitudes).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Haar unitaries
 # ---------------------------------------------------------------------------

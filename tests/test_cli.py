@@ -135,6 +135,13 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg roughly doubles start-up time, and only Haar unitary sampling needs it
+    code = "import sys, qgalab.cli; sys.exit('scipy.linalg' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+
+
 def test_config_file_merge_order(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"trials": 30, "lambda": 2}')
@@ -207,6 +214,7 @@ def test_ske_roundtrip_report(capsys):
 def test_prfsg_eval_builds_the_base_state_once(capsys, monkeypatch):
     built = []
     basis_state = qga_mod.basis_state
+    qga_mod.StateDescription.expand.cache_clear()  # shared per process: start cold
     monkeypatch.setattr(qga_mod, "basis_state",
                         lambda *args: built.append(args) or basis_state(*args))
     code, _, _ = run_cli(capsys, "prfsg-eval", "--lambda", "4", "--ell", "6", "--seed", "1")

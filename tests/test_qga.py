@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qgalab import circuits as qc
+from qgalab import qga as qga_module
 from qgalab.circuits import Circuit, cs, h, t
+from qgalab.games import run_up_game, up_haar
 from qgalab.gf2poly import SparsePolyF2
 from qgalab.qga import (
     VARIANT_GENERIC,
@@ -18,6 +20,7 @@ from qgalab.qga import (
     StateDescription,
     apply_qga,
     apply_qga_array,
+    apply_qga_start,
     haar_unitary_qga,
     identity_qga,
     iqp_circuit_qga,
@@ -46,6 +49,11 @@ def test_state_description():
     assert desc.expand() is desc.expand()
     with pytest.raises(ValueError):
         StateDescription(2, 4)
+
+
+def test_basis_state_is_shared_across_descriptions():
+    assert StateDescription(5).expand() is StateDescription(5).expand()
+    assert not StateDescription(5).expand().amplitudes.flags.writeable
 
 
 def test_sample_s_is_all_zeros():
@@ -158,6 +166,42 @@ def test_iqp_families_never_run_the_gate_loop(rng, monkeypatch):
     psi = sample_haar_state(4, rng)
     for family in (iqp_circuit_qga(4), iqp_poly_qga(4)):
         apply_qga(family.sample_g(rng), psi)
+
+
+@pytest.mark.parametrize("num_qubits", [3, 8, 10])
+def test_apply_qga_start_is_byte_identical_to_apply_qga(num_qubits, rng):
+    # 8 and fewer qubits take the dense Walsh path, 10 the butterfly
+    for basis_index in (0, 5):
+        start = StateDescription(num_qubits, basis_index)
+        for desc in _sample_each_variant(num_qubits, rng):
+            expected = apply_qga(desc, start.expand()).amplitudes
+            assert apply_qga_start(desc, start).amplitudes.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        apply_qga_start(sample_g_candidate3(3, 2, 4, rng), StateDescription(2))
+
+
+def test_cached_start_image_is_read_only(rng):
+    desc = sample_g_candidate3(10, 3, 20, rng)
+    apply_qga_start(desc, sample_s(10))
+    first = qga_module._first_layer(sample_s(10))
+    assert first is qga_module._first_layer(StateDescription(10, 0))
+    assert not first.flags.writeable
+    assert first.tobytes() == qc.hadamard_layer_array(basis_state(10, 0).amplitudes).tobytes()
+
+
+def test_iqp_up_trial_runs_one_walsh_layer(monkeypatch):
+    family = iqp_poly_qga(10)
+    apply_qga_start(family.sample_g(stream(0, "warm")), family.sample_s())
+    calls = []
+    layer = qc.hadamard_layer_array
+
+    def counted(arr):
+        calls.append(arr.size)
+        return layer(arr)
+
+    monkeypatch.setattr(qc, "hadamard_layer_array", counted)
+    run_up_game(family, up_haar, 1, 2, seed=3)
+    assert calls == [2**10, 2**10]
 
 
 def test_apply_dimension_checks(rng):
