@@ -207,9 +207,9 @@ def _walsh_matrix(dim: int) -> np.ndarray:
     return m
 
 
-def _butterfly_stages(a: np.ndarray, half: int) -> None:
-    """In place, pairs half, 2 half, ... apart: (x, y) -> (x + y, -1.0 y + x)."""
-    while half < a.size:
+def _butterfly_stages(a: np.ndarray, half: int, n: int) -> None:
+    """In place on rows of n, pairs half, 2 half, ... apart: (x, y) -> (x + y, -1.0 y + x)."""
+    while half < n:
         view = a.reshape(-1, 2, half)
         top = view[:, 0, :].copy()
         view[:, 0, :] += view[:, 1, :]
@@ -219,18 +219,19 @@ def _butterfly_stages(a: np.ndarray, half: int) -> None:
 
 
 def hadamard_layer_array(arr: np.ndarray) -> np.ndarray:
-    """H on every qubit: a cached dense transform up to 8 qubits. Above, for k qubits,
-    the radix-2 butterfly with its floor(k/2) low-bit stages run on a transposed copy,
-    so each stage pairs runs of 2^floor(k/2) or more; same operations, same bytes."""
+    """H on every qubit of each row (the last axis): a cached dense transform up to 8
+    qubits (on a batch, rows @ W, not byte-equal to W @ row). Above, for k qubits, the
+    radix-2 butterfly with its floor(k/2) low-bit stages run on a transposed copy, so
+    each stage pairs runs of 2^floor(k/2) or more; same operations, same bytes."""
     a = np.asarray(arr, dtype=np.complex128)
-    n = a.size
+    n = a.shape[-1]
     if n <= 256:
-        return _walsh_matrix(n) @ a
+        return _walsh_matrix(n) @ a if a.ndim == 1 else a @ _walsh_matrix(n)
     cols = 1 << ((n.bit_length() - 1) // 2)
-    out = a.reshape(-1, cols).T.copy()
-    _butterfly_stages(out.reshape(-1), n // cols)
-    out = np.ascontiguousarray(out.T).reshape(-1)
-    _butterfly_stages(out, cols)
+    out = a.reshape(-1, n // cols, cols).transpose(0, 2, 1).copy()
+    _butterfly_stages(out, n // cols, n)
+    out = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(a.shape)
+    _butterfly_stages(out, cols, n)
     out /= np.sqrt(n)
     return out
 

@@ -56,22 +56,24 @@ class SparsePolyF2:
         if cached is None:
             coeffs = np.zeros(2**self.num_vars, dtype=np.uint8)
             coeffs[np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))] = 1
-            cached = _PARITY_SIGNS.take(subset_sums(coeffs))
+            cached = PARITY_SIGNS.take(subset_sums(coeffs))
             cached.flags.writeable = False
             self.__dict__["_sign_vector"] = cached
         return cached
 
 
-_PARITY_SIGNS = np.where(np.arange(256) & 1, -1.0, 1.0)  # (-1)^s for a uint8 s
+PARITY_SIGNS = np.where(np.arange(256) & 1, -1.0, 1.0)  # (-1)^s for a uint8 s
 
 
 def subset_sums(coeffs: np.ndarray) -> np.ndarray:
     """Binary zeta (Moebius) transform of a uint8 table of 2^v entries indexed
-    by monomial mask: entry z of the result sums coeffs[m], mod 256, over every
-    m contained in z, in O(v * 2^v) time. The result is indexed by amplitude
-    (mask bit j is index bit v - 1 - j), so the axes are reversed first."""
-    v = coeffs.size.bit_length() - 1
-    sums = coeffs.reshape((2,) * v).transpose().copy().reshape(-1)
+    by monomial mask, on the last axis (leading axes are a batch of tables):
+    entry z of the result sums coeffs[m], mod 256, over every m contained in
+    z, in O(v * 2^v) time. The result is indexed by amplitude (mask bit j is
+    index bit v - 1 - j), so the mask axes are reversed first."""
+    v = coeffs.shape[-1].bit_length() - 1
+    cube = coeffs.reshape((-1,) + (2,) * v)  # one leading axis for the batch
+    sums = cube.transpose((0,) + tuple(range(v, 0, -1))).copy().reshape(coeffs.shape)
     for j in range(v):
         view = sums.reshape(-1, 2, 1 << j)
         view[:, 1, :] += view[:, 0, :]  # uint8 array arithmetic wraps silently

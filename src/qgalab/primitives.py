@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qga import QgaDescription, QgaInstance, StateDescription, apply_qga, apply_qga_array, apply_qga_start
-from .states import (
-    StateVector,
-    projection_prob,
-    sample_haar_state,
-    snap_prob,
-    swap_test_accept_prob,
-    swap_test_accept_prob_joint,
-    swap_test_sample,
-    tensor,
+from .qga import (
+    VARIANT_GENERIC,
+    QgaDescription,
+    QgaInstance,
+    StateDescription,
+    apply_qga_array,
+    apply_qga_rows,
+    apply_qga_start,
+    stacked_diagonals,
 )
+from .states import ATOL, StateVector, projection_prob, snap_prob, swap_test_accept_prob_joint, tensor
 
 
 def _apply_to_first_register(desc: QgaDescription, joint: StateVector) -> StateVector:
@@ -98,8 +98,24 @@ def money_verify(key: ActionKey, note_state: StateVector, rng: np.random.Generat
 
 
 # ---------------------------------------------------------------------------
-# one-bit encryption from action-invariance of Haar states
+# bit encryption from action-invariance of Haar states, one batch per message
 # ---------------------------------------------------------------------------
+
+_CHUNK_AMPLITUDES = 1 << 16  # rows go through in chunks of at most this many amplitudes
+
+
+def _chunks(count: int, num_qubits: int) -> list[np.ndarray]:
+    step = max(1, _CHUNK_AMPLITUDES >> num_qubits)
+    return [np.arange(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _check_unit_rows(rows: np.ndarray) -> None:
+    """The StateVector norm check, one vectorised test per chunk of rows."""
+    step = max(1, _CHUNK_AMPLITUDES // rows.shape[-1])
+    for lo in range(0, len(rows), step):
+        if np.abs(np.linalg.norm(rows[lo:lo + step], axis=-1) - 1.0).max(initial=0.0) > ATOL:
+            raise ValueError("a row is not normalized within 1e-10")
+
 
 @dataclass(frozen=True)
 class SkeKey1:
@@ -107,36 +123,104 @@ class SkeKey1:
 
 
 @dataclass(frozen=True, eq=False)
-class Ciphertext1:
-    first: StateVector
-    second: StateVector
+class CiphertextBatch:
+    """Sub-ciphertexts (first_i, second_i) as two read-only (B, 2^lambda) arrays of
+    unit rows. Arrays that are already read-only are kept, others copied."""
+
+    first: np.ndarray
+    second: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("first", "second"):
+            rows = np.asarray(getattr(self, name), dtype=np.complex128)
+            if rows.flags.writeable:
+                rows = rows.copy()
+                rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+        if self.first.ndim != 2 or self.first.shape != self.second.shape:
+            raise ValueError("ciphertext halves must be (B, 2^lambda) arrays of one shape")
+        _check_unit_rows(self.first)
+        _check_unit_rows(self.second)
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __getitem__(self, rows: slice) -> CiphertextBatch:
+        return CiphertextBatch(self.first[rows], self.second[rows])
+
+
+def _key_rows(key: SkeKey1 | SkeKeyMulti) -> tuple[list[QgaDescription], np.ndarray | None]:
+    """The key's elements in ciphertext order and their stacked diagonals (None
+    for generic elements), cached on the key."""
+    if "_rows" not in key.__dict__:
+        descs = [k.group_desc for k in (key.keys if isinstance(key, SkeKeyMulti) else (key,))]
+        generic = descs[0].variant == VARIANT_GENERIC
+        key.__dict__["_rows"] = descs, None if generic else stacked_diagonals(descs)
+    return key.__dict__["_rows"]
+
+
+def _act(key: SkeKey1 | SkeKeyMulti, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """g_i on each row, for the key elements i in ``index``."""
+    descs, diagonals = _key_rows(key)
+    return apply_qga_rows([descs[i] for i in index], rows, None if diagonals is None else diagonals[index])
+
+
+def _encrypt(key: SkeKey1 | SkeKeyMulti, bits: np.ndarray, rng: np.random.Generator) -> CiphertextBatch:
+    """Row i encrypts bits[i] under element i: bit 0 -> (|s>, g|s>), bit 1 ->
+    (|s>, |s'>), with fresh Haar |s>, |s'>."""
+    descs = _key_rows(key)[0]
+    lam = descs[0].num_qubits
+    first = np.empty((len(bits), 2**lam), dtype=np.complex128)
+    second = np.empty_like(first)
+    for rows in _chunks(len(bits), lam):
+        chunk = bits[rows]
+        at = np.cumsum(1 + chunk) - 1 - chunk  # the draw of each row's |s>
+        haar = rng.standard_normal((at[-1] + 1 + chunk[-1], 2**(lam + 1))).view(np.complex128)
+        haar /= np.linalg.norm(haar, axis=1, keepdims=True)
+        first[rows] = haar[at]
+        second[rows[chunk == 1]] = haar[at[chunk == 1] + 1]
+        zeros = rows[chunk == 0]
+        if zeros.size:
+            second[zeros] = _act(key, zeros, first[zeros])
+    first.flags.writeable = second.flags.writeable = False
+    return CiphertextBatch(first, second)
+
+
+def _accept_probs(key: SkeKey1 | SkeKeyMulti, cts: CiphertextBatch) -> np.ndarray:
+    """Per row, the snapped probability that the SWAP test of (g_i . first_i,
+    second_i) reports "equal"."""
+    descs = _key_rows(key)[0]
+    if cts.first.shape != (len(descs), 2**descs[0].num_qubits):
+        raise ValueError("ciphertext count does not match the key")
+    accept = np.empty(len(cts))
+    for rows in _chunks(len(cts), descs[0].num_qubits):
+        moved = _act(key, rows, cts.first[rows])
+        _check_unit_rows(moved)
+        overlaps = np.abs(np.einsum("ij,ij->i", moved.conj(), cts.second[rows])) ** 2
+        accept[rows] = [snap_prob((1.0 + p) / 2.0) for p in overlaps.tolist()]
+    return accept
 
 
 def ske1_keygen(qga: QgaInstance, rng: np.random.Generator) -> SkeKey1:
     return SkeKey1(qga.sample_g(rng))
 
 
-def ske1_enc(key: SkeKey1, bit: int, rng: np.random.Generator) -> Ciphertext1:
-    """bit 0 -> (|s>, g|s>); bit 1 -> (|s>, |s'>) with fresh Haar |s>, |s'>."""
+def ske1_enc(key: SkeKey1, bit: int, rng: np.random.Generator) -> CiphertextBatch:
+    """bit 0 -> (|s>, g|s>); bit 1 -> (|s>, |s'>) with fresh Haar |s>, |s'>: one row."""
     if bit not in (0, 1):
         raise ValueError(f"plaintext bit must be 0 or 1, got {bit}")
-    lam = key.group_desc.num_qubits
-    first = sample_haar_state(lam, rng)
-    if bit == 0:
-        return Ciphertext1(first, apply_qga(key.group_desc, first))
-    return Ciphertext1(first, sample_haar_state(lam, rng))
+    return _encrypt(key, np.array([bit]), rng)
 
 
-def ske1_dec_zero_prob(key: SkeKey1, ct: Ciphertext1) -> float:
+def ske1_dec_zero_prob(key: SkeKey1, ct: CiphertextBatch) -> float:
     """Probability that decryption outputs 0: SWAP test of (g . first, second)."""
-    moved = apply_qga(key.group_desc, ct.first)
-    return snap_prob(swap_test_accept_prob(moved, ct.second))
+    return float(_accept_probs(key, ct)[0])
 
 
-def ske1_dec(key: SkeKey1, ct: Ciphertext1, rng: np.random.Generator) -> int:
+def ske1_dec(key: SkeKey1, ct: CiphertextBatch, rng: np.random.Generator) -> int:
     """Apply g to the first half and SWAP-test; "equal" decodes to 0."""
-    moved = apply_qga(key.group_desc, ct.first)
-    return 0 if swap_test_sample(moved, ct.second, rng) else 1
+    accept = _accept_probs(key, ct)[0]
+    return int(rng.random() >= accept)
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +246,28 @@ def ske_multi_keygen(qga: QgaInstance, repetitions: int, message_length: int,
     return SkeKeyMulti(keys, repetitions, message_length)
 
 
-def ske_multi_enc(key: SkeKeyMulti, message, rng: np.random.Generator) -> tuple[Ciphertext1, ...]:
-    """Encrypt bit i under its own block of ``repetitions`` one-bit keys."""
+def ske_multi_enc(key: SkeKeyMulti, message, rng: np.random.Generator) -> CiphertextBatch:
+    """Encrypt bit i under its own block of ``repetitions`` one-bit keys, as one batch.
+
+    Draw order: every Haar state in ciphertext order (row i * repetitions + j is
+    bit i under key j of its block), |s> for a 0-bit row and |s> then |s'> for a
+    1-bit row, 2^(lambda+1) standard normals each, taken by one standard_normal
+    call per chunk of rows: the stream of one sample_haar_state call per state.
+    """
     bits = [int(b) for b in message]
     if len(bits) != key.message_length or any(b not in (0, 1) for b in bits):
         raise ValueError(f"message must be {key.message_length} bits")
-    cts = []
-    for i, bit in enumerate(bits):
-        for j in range(key.repetitions):
-            cts.append(ske1_enc(key.keys[i * key.repetitions + j], bit, rng))
-    return tuple(cts)
+    return _encrypt(key, np.repeat(bits, key.repetitions), rng)
 
 
-def ske_multi_dec(key: SkeKeyMulti, cts: tuple[Ciphertext1, ...],
+def ske_multi_dec(key: SkeKeyMulti, cts: CiphertextBatch,
                   rng: np.random.Generator) -> tuple[int, ...]:
-    """Bit i decodes to 0 iff all of its sub-decryptions say 0."""
-    if len(cts) != key.repetitions * key.message_length:
-        raise ValueError("ciphertext count does not match the key")
-    out = []
-    for i in range(key.message_length):
-        sub = [
-            ske1_dec(key.keys[i * key.repetitions + j], cts[i * key.repetitions + j], rng)
-            for j in range(key.repetitions)
-        ]
-        out.append(0 if all(b == 0 for b in sub) else 1)
-    return tuple(out)
+    """Bit i decodes to 0 iff all of its sub-decryptions say 0.
+
+    Draw order: one rng.random(B) for the B = repetitions * message_length
+    SWAP-test shots, in ciphertext order, after every probability is computed:
+    the stream of one rng.random() per sub-decryption.
+    """
+    accept = _accept_probs(key, cts)
+    rejects = (rng.random(len(cts)) >= accept).reshape(key.message_length, key.repetitions)
+    return tuple(int(bit) for bit in rejects.any(axis=1))

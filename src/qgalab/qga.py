@@ -14,13 +14,15 @@ tests and games:
   3. iqp-sparse-poly: same sandwich with D|x> = (-1)^{f(x)}|x> for a random
      sparse GF(2) polynomial f with f(0) = 0.
 
-Candidates 2 and 3 share one path, H . diagonal() . H; they commute pairwise
-and fix the uniform superposition exactly. apply_qga_start acts on the start
+Candidates 2 and 3 share one path, H . diagonal() . H, which apply_qga_rows
+runs once for a batch of rows over their stacked_diagonals; they commute
+pairwise and fix the uniform superposition exactly. apply_qga_start acts on the start
 state and reuses its cached first layer H^(x)n|s>, so an IQP image costs one
 Walsh-Hadamard layer.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import circuits as qc
 from .circuits import Circuit, Gate
-from .gf2poly import SparsePolyF2, poly_from_json, poly_to_json, sample_sparse_poly, subset_sums
+from .gf2poly import PARITY_SIGNS, SparsePolyF2, poly_from_json, poly_to_json, sample_sparse_poly, subset_sums
 from .states import StateVector, basis_state
 
 VARIANT_GENERIC = "generic-circuit"
@@ -55,9 +57,13 @@ class StateDescription:
         return basis_state(self.num_qubits, self.basis_index)
 
 
+_FIRST_LAYER_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=8)
 def _first_layer(start: StateDescription) -> np.ndarray:
-    """H^(x)n|s>, read-only: the first layer of every IQP start-state image."""
+    """H^(x)n|s>, read-only: the first layer of every IQP start-state image.
+    Call it under _FIRST_LAYER_LOCK, so that worker threads compute it once."""
     first = qc.hadamard_layer_array(start.expand().amplitudes)
     first.flags.writeable = False
     return first
@@ -95,24 +101,37 @@ class QgaDescription:
         )
 
     def diagonal(self) -> np.ndarray:
-        """D of an IQP element H^(x)n . D . H^(x)n, cached and read-only: (-1)^f for
-        iqp-sparse-poly; omega^k(x), omega = e^{i pi/4}, for iqp-diagonal-circuit,
-        where k(x) sums the weights of the monomials contained in x: each T on q
-        weighs 1 at monomial {q}, each CS on (a, b) weighs 2 at {a, b}."""
-        if self.variant == VARIANT_IQP_POLY:
-            return self.body.sign_vector()
-        if self.variant != VARIANT_IQP_CIRCUIT:
-            raise ValueError(f"{self.variant} has no diagonal form")
+        """D of an IQP element H^(x)n . D . H^(x)n: the one-row case of
+        stacked_diagonals, cached and read-only."""
         cached = self.__dict__.get("_diagonal")
         if cached is None:
-            weights = np.zeros(2**self.num_qubits, dtype=np.uint8)
-            for g in self.body.gates:
-                mask = sum(1 << q for q in g.targets)
-                weights[mask] = (weights[mask] + (2 if g.kind == "CS" else 1)) % 8
-            cached = _OMEGA_POWERS.take(subset_sums(weights))
-            cached.flags.writeable = False
-            self.__dict__["_diagonal"] = cached
+            cached = self.__dict__["_diagonal"] = stacked_diagonals((self,))[0]
         return cached
+
+
+def stacked_diagonals(descs) -> np.ndarray:
+    """D of each IQP element, one read-only (len(descs), 2^n) array from one
+    subset_sums over the batch: (-1)^f for iqp-sparse-poly; omega^k(x), omega =
+    e^{i pi/4}, for iqp-diagonal-circuit, where k(x) sums the weights of the
+    monomials contained in x: each T on q weighs 1 at monomial {q}, each CS on
+    (a, b) weighs 2 at {a, b}. All elements share one variant and qubit count."""
+    variant, n = descs[0].variant, descs[0].num_qubits
+    if variant == VARIANT_GENERIC:
+        raise ValueError(f"{variant} has no diagonal form")
+    if any((d.variant, d.num_qubits) != (variant, n) for d in descs):
+        raise ValueError("stacked elements must share one variant and qubit count")
+    weights = np.zeros((len(descs), 2**n), dtype=np.uint8)
+    for row, desc in zip(weights, descs):
+        if variant == VARIANT_IQP_POLY:
+            row[list(desc.body.terms)] = 1
+            continue
+        for g in desc.body.gates:
+            mask = sum(1 << q for q in g.targets)
+            row[mask] = (row[mask] + (2 if g.kind == "CS" else 1)) % 8
+    table = PARITY_SIGNS if variant == VARIANT_IQP_POLY else _OMEGA_POWERS
+    stack = table.take(subset_sums(weights))
+    stack.flags.writeable = False
+    return stack
 
 
 _OMEGA_POWERS = np.exp(1j * np.pi / 4 * (np.arange(256) % 8))  # omega^s, uint8 s; 8 | 256
@@ -127,6 +146,14 @@ def apply_qga_array(desc: QgaDescription, arr: np.ndarray) -> np.ndarray:
     return qc.hadamard_layer_array(qc.hadamard_layer_array(arr) * desc.diagonal())
 
 
+def apply_qga_rows(descs, rows: np.ndarray, diagonals: np.ndarray | None) -> np.ndarray:
+    """g_i on row i of a (B, 2^n) array: IQP elements as one H.D.H over their
+    stacked diagonals, generic elements (diagonals None) one row at a time."""
+    if diagonals is None:
+        return np.stack([apply_qga_array(d, row) for d, row in zip(descs, rows)])
+    return qc.hadamard_layer_array(qc.hadamard_layer_array(rows) * diagonals)
+
+
 def apply_qga(desc: QgaDescription, state: StateVector) -> StateVector:
     if state.num_qubits != desc.num_qubits:
         raise ValueError("state and group element qubit counts differ")
@@ -138,7 +165,9 @@ def apply_qga_start(desc: QgaDescription, start: StateDescription) -> StateVecto
     cached first layer H^(x)n|s> and computes only H . D . (that layer)."""
     if desc.variant == VARIANT_GENERIC or start.num_qubits != desc.num_qubits:
         return apply_qga(desc, start.expand())
-    return StateVector(desc.num_qubits, qc.hadamard_layer_array(_first_layer(start) * desc.diagonal()))
+    with _FIRST_LAYER_LOCK:
+        first = _first_layer(start)
+    return StateVector(desc.num_qubits, qc.hadamard_layer_array(first * desc.diagonal()))
 
 
 def sample_s(num_qubits: int) -> StateDescription:

@@ -15,8 +15,9 @@ from qgalab.qga import (
     VARIANT_IQP_CIRCUIT,
     VARIANT_IQP_POLY,
     QgaDescription,
+    apply_qga,
 )
-from qgalab.states import StateVector, tensor
+from qgalab.states import StateVector, sample_haar_state, swap_test_sample, tensor
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -174,6 +175,34 @@ def dense_qga_matrix(desc: QgaDescription) -> np.ndarray:
             signs[z] = -1.0 if poly_eval_reference(poly, bits) else 1.0
         return hn @ np.diag(signs) @ hn
     raise ValueError(f"unknown variant {desc.variant}")
+
+
+# ---------------------------------------------------------------------------
+# multi-bit encryption, one sub-ciphertext at a time
+# ---------------------------------------------------------------------------
+
+def ske_multi_enc_reference(key, message, rng: np.random.Generator) -> list:
+    """The scalar encryption loop: per bit, per key of its block, a Haar |s>, then
+    g|s> for a 0-bit or a second Haar state for a 1-bit, as StateVector pairs."""
+    cts = []
+    for i, bit in enumerate(int(b) for b in message):
+        for j in range(key.repetitions):
+            desc = key.keys[i * key.repetitions + j].group_desc
+            first = sample_haar_state(desc.num_qubits, rng)
+            second = apply_qga(desc, first) if bit == 0 else sample_haar_state(desc.num_qubits, rng)
+            cts.append((first, second))
+    return cts
+
+
+def ske_multi_dec_reference(key, cts, rng: np.random.Generator) -> tuple[int, ...]:
+    """The scalar decryption loop: one SWAP-test shot per sub-ciphertext, in
+    order; bit i is 0 iff every shot of its block reports "equal"."""
+    shots = [
+        swap_test_sample(apply_qga(sub.group_desc, first), second, rng)
+        for sub, (first, second) in zip(key.keys, cts)
+    ]
+    t = key.repetitions
+    return tuple(0 if all(shots[i * t:(i + 1) * t]) else 1 for i in range(key.message_length))
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,21 @@ def test_hadamard_layer_is_byte_identical_to_plain_butterfly(num_qubits):
         assert hadamard_layer_array(amps).tobytes() == expected.tobytes(), name
 
 
+@pytest.mark.parametrize("num_qubits", [1, 3, 8, 9, 12])
+def test_batched_hadamard_rows_match_one_dimensional_calls(num_qubits):
+    # dense (up to 8 qubits) and butterfly branches; the butterfly runs the
+    # same element operations per row, so there the bytes agree too
+    rng = np.random.default_rng(num_qubits)
+    rows = rng.standard_normal((5, 2**num_qubits)) + 1j * rng.standard_normal((5, 2**num_qubits))
+    batched = hadamard_layer_array(rows)
+    assert batched.shape == rows.shape
+    for row, out in zip(rows, batched):
+        single = hadamard_layer_array(row)
+        assert np.max(np.abs(out - single)) < 1e-12
+        if num_qubits > 8:
+            assert out.tobytes() == single.tobytes()
+
+
 def test_hadamard_layer_accepts_and_keeps_read_only_input(rng):
     psi = sample_haar_state(10, rng)
     before = psi.amplitudes.tobytes()

@@ -13,6 +13,7 @@ from qgalab.gf2poly import (
     poly_from_json,
     poly_to_json,
     sample_sparse_poly,
+    subset_sums,
 )
 from qgalab.rng import stream
 
@@ -208,3 +209,16 @@ def test_json_round_trip(rng):
     assert obj["terms"] == sorted(obj["terms"], key=lambda h: int(h, 16))
     back = poly_from_json(obj, 6)
     assert back == poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 11), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_stacked_subset_sums_equal_per_row_sums(num_vars, rows, seed, saturated):
+    # saturated tables (every weight 255) wrap mod 256 at every stage
+    shape = (rows, 2**num_vars)
+    coeffs = (np.full(shape, 255, dtype=np.uint8) if saturated
+              else np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8))
+    stacked = subset_sums(coeffs)
+    assert stacked.shape == coeffs.shape and stacked.dtype == np.uint8
+    for row, out in zip(coeffs, stacked):
+        assert out.tobytes() == subset_sums(row).tobytes()

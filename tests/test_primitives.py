@@ -8,6 +8,7 @@ from qgalab.games import _complete_basis
 from qgalab.primitives import (
     ActionKey,
     Banknote,
+    CiphertextBatch,
     SkeKeyMulti,
     _apply_to_first_register,
     money_accept_prob,
@@ -32,9 +33,13 @@ from qgalab.qga import (
     VARIANT_GENERIC,
     QgaDescription,
     apply_qga,
+    haar_unitary_qga,
+    identity_qga,
+    iqp_circuit_qga,
     iqp_poly_qga,
     random_circuit_qga,
 )
+from qgalab.rng import stream
 from qgalab.states import orthogonal_state, sample_haar_state
 
 
@@ -193,3 +198,72 @@ def test_multi_ones_per_bit_rate(rng):
         hits += sum(ske_multi_dec(key, cts, rng))
     rate = hits / (2 * trials)
     assert abs(rate - (1 - 0.625**2)) < 0.025
+
+
+# ---------------------------------------------------------------------------
+# one batch per message against the scalar reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 3, 32])
+@pytest.mark.parametrize("m", [1, 3, 32, 2**11])
+def test_merged_draws_equal_separate_draws(k, m):
+    # the batched path takes one standard_normal and one random call where the
+    # scalar path took k: same values, same generator state afterwards
+    separate, merged, shaped = (np.random.default_rng(99) for _ in range(3))
+    normals = np.concatenate([separate.standard_normal(m) for _ in range(k)])
+    assert merged.standard_normal(k * m).tobytes() == normals.tobytes()
+    assert shaped.standard_normal((k, m)).tobytes() == normals.tobytes()
+    uniforms = np.array([separate.random() for _ in range(k)])
+    assert merged.random(k).tobytes() == uniforms.tobytes()
+    assert shaped.random(k).tobytes() == uniforms.tobytes()
+    assert merged.bit_generator.state == separate.bit_generator.state
+    assert shaped.bit_generator.state == separate.bit_generator.state
+
+
+_SKE_FAMILIES = {
+    "random-circuit": random_circuit_qga,
+    "iqp-circuit": iqp_circuit_qga,
+    "iqp-sparse": iqp_poly_qga,
+    "haar-unitary": haar_unitary_qga,
+    "identity": identity_qga,
+}
+
+
+@pytest.mark.parametrize("lam, name", [(lam, name) for name in _SKE_FAMILIES for lam in (1, 2, 3)]
+                         + [(9, "iqp-sparse")])
+def test_batched_ske_matches_scalar_reference(lam, name):
+    # per-trial decoded bits, ciphertext amplitudes and the generator state
+    # after each trial all match the one-sub-ciphertext-at-a-time reference
+    family = _SKE_FAMILIES[name](lam)
+    for i in range(12 if lam < 9 else 6):
+        message = [(i >> b) & 1 for b in range(3)]
+        batched, scalar = stream(7, name, lam, i), stream(7, name, lam, i)
+        key = ske_multi_keygen(family, 3, 3, batched)
+        ref_key = ske_multi_keygen(family, 3, 3, scalar)
+        cts = ske_multi_enc(key, message, batched)
+        ref_cts = oracles.ske_multi_enc_reference(ref_key, message, scalar)
+        for j, (first, second) in enumerate(ref_cts):
+            assert np.max(np.abs(cts.first[j] - first.amplitudes)) < 1e-12
+            assert np.max(np.abs(cts.second[j] - second.amplitudes)) < 1e-12
+        decoded = ske_multi_dec(key, cts, batched)
+        assert decoded == oracles.ske_multi_dec_reference(ref_key, ref_cts, scalar)
+        assert batched.random() == scalar.random()
+
+
+def test_ciphertext_batch_rows(rng):
+    key = ske_multi_keygen(iqp_poly_qga(3), 2, 3, rng)
+    cts = ske_multi_enc(key, [1, 0, 1], rng)
+    assert len(cts) == 6 and cts.first.shape == cts.second.shape == (6, 8)
+    assert not cts.first.flags.writeable and not cts.second.flags.writeable
+    assert len(cts[:-1]) == 5 and cts[2:4].first.tobytes() == cts.first[2:4].tobytes()
+    assert len(ske1_enc(ske1_keygen(iqp_poly_qga(3), rng), 1, rng)) == 1
+    unnormalised = np.array(cts.first)
+    unnormalised[1] *= 1.0 + 1e-8
+    with pytest.raises(ValueError):
+        CiphertextBatch(unnormalised, cts.second)
+    with pytest.raises(ValueError):
+        CiphertextBatch(cts.first, cts.second[:, :4])
+    writable = np.array(cts.first)
+    kept = CiphertextBatch(writable, cts.second)
+    writable[0] = 0.0
+    assert kept.first.tobytes() == cts.first.tobytes() and not kept.first.flags.writeable

@@ -1,5 +1,6 @@
 """The three candidate unitary families and the two reference families."""
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from qgalab.qga import (
     StateDescription,
     apply_qga,
     apply_qga_array,
+    apply_qga_rows,
     apply_qga_start,
     haar_unitary_qga,
     identity_qga,
@@ -32,6 +34,7 @@ from qgalab.qga import (
     sample_g_candidate2,
     sample_g_candidate3,
     sample_s,
+    stacked_diagonals,
     state_desc_from_json,
     state_desc_to_json,
 )
@@ -158,6 +161,36 @@ def test_diagonal_is_cached_and_read_only(rng):
         sample_g_candidate1(3, 1, rng).diagonal()
 
 
+def test_stacked_diagonals_are_the_rows_of_each_diagonal(rng):
+    for make in (lambda: sample_g_candidate2(4, 30, rng), lambda: sample_g_candidate3(4, 3, 16, rng)):
+        descs = [make() for _ in range(5)]
+        stack = stacked_diagonals(descs)
+        assert stack.shape == (5, 16) and not stack.flags.writeable
+        for desc, row in zip(descs, stack):
+            assert row.tobytes() == desc.diagonal().tobytes()
+            if desc.variant == VARIANT_IQP_POLY:
+                assert row.tobytes() == desc.body.sign_vector().tobytes()
+    with pytest.raises(ValueError):
+        stacked_diagonals([sample_g_candidate2(3, 4, rng), sample_g_candidate3(3, 2, 4, rng)])
+    with pytest.raises(ValueError):
+        stacked_diagonals([sample_g_candidate3(3, 2, 4, rng), sample_g_candidate3(4, 2, 4, rng)])
+    with pytest.raises(ValueError):
+        stacked_diagonals([sample_g_candidate1(3, 1, rng)])
+
+
+@pytest.mark.parametrize("num_qubits", [3, 9])
+def test_apply_qga_rows_matches_apply_qga_array(num_qubits, rng):
+    for make in (lambda: sample_g_candidate1(num_qubits, 2, rng),
+                 lambda: sample_g_candidate2(num_qubits, 20, rng),
+                 lambda: sample_g_candidate3(num_qubits, 3, num_qubits**2, rng)):
+        descs = [make() for _ in range(4)]
+        rows = np.array([sample_haar_state(num_qubits, rng).amplitudes for _ in descs])
+        diagonals = None if descs[0].variant == VARIANT_GENERIC else stacked_diagonals(descs)
+        out = apply_qga_rows(descs, rows, diagonals)
+        for desc, row, got in zip(descs, rows, out):
+            assert np.max(np.abs(got - apply_qga_array(desc, row))) < 1e-12
+
+
 def test_iqp_families_never_run_the_gate_loop(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("an IQP element went through run_circuit_array")
@@ -202,6 +235,29 @@ def test_iqp_up_trial_runs_one_walsh_layer(monkeypatch):
     monkeypatch.setattr(qc, "hadamard_layer_array", counted)
     run_up_game(family, up_haar, 1, 2, seed=3)
     assert calls == [2**10, 2**10]
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_first_layer_is_computed_once_across_workers(workers, monkeypatch):
+    # a cold cache and threads switching often: every trial but one must find
+    # H^(x)n|0> cached, so each trial costs one layer and the cache one more
+    qga_module._first_layer.cache_clear()
+    calls = []
+    layer = qc.hadamard_layer_array
+
+    def counted(arr):
+        calls.append(arr.size)
+        return layer(arr)
+
+    monkeypatch.setattr(qc, "hadamard_layer_array", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trials = 8
+        run_up_game(iqp_poly_qga(10), up_haar, 1, trials, seed=5, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == trials + 1
 
 
 def test_apply_dimension_checks(rng):
