@@ -31,7 +31,7 @@ from .qga import (
     state_desc_to_json,
 )
 from .rng import stream
-from .states import MAX_QUBITS, sample_haar_state, state_to_json
+from .states import MAX_QUBITS, StateVector, sample_haar_state
 
 # config key and flag name -> (flag type, default, lowest allowed integer);
 # flags override a config file
@@ -54,6 +54,10 @@ _OPTIONS = {
     "format": (str, "json", None),
     "workers": (int, 1, 1),
 }
+
+# a prfsg-eval report holds 2^(lambda + ell) amplitudes, about 86 B of text and
+# 300 B resident each: the cap keeps one call under 2 GiB
+_MAX_REPORT_AMPLITUDES = 2**22
 
 _CANDIDATE_ALIASES = {"1": "random-circuit", "2": "iqp-circuit", "3": "iqp-sparse"}
 # candidate -> (family builder, {config key: builder keyword}); a key left unset
@@ -199,8 +203,12 @@ def _validate(config: dict, command: str) -> None:
             if config["tprime"] * config["lambda"] > MAX_QUBITS:
                 raise ValidationError(f"--tprime registers exceed the {MAX_QUBITS}-qubit cap")
 
-    if command in ("prfsg-eval",) and config["ell"] > 8:
-        raise ValidationError("--ell above 8 would enumerate too many inputs")
+    if command == "prfsg-eval":
+        if config["ell"] > 8:
+            raise ValidationError("--ell above 8 would enumerate too many inputs")
+        if 2 ** (config["lambda"] + config["ell"]) > _MAX_REPORT_AMPLITUDES:
+            raise ValidationError(
+                f"2^(--lambda + --ell) amplitudes exceed the report cap of {_MAX_REPORT_AMPLITUDES}")
 
 
 def _build_instance(config: dict) -> QgaInstance:
@@ -320,23 +328,33 @@ def _cmd_ske_roundtrip(config: dict) -> str:
     return _canonical_json(report)
 
 
+def _state_text(state: StateVector) -> str:
+    """One state as json.dumps(state_to_json(state), sort_keys=True, indent=2)
+    writes it two levels deep. A StateVector's amplitudes are finite, and for
+    a finite float json writes repr(value)."""
+    pair = "\n        ],\n        [\n          ".join(["%r,\n          %r"] * len(state.amplitudes))
+    return ('{\n      "amplitudes": [\n        [\n          '
+            + pair % tuple(state.amplitudes.view(float).tolist())
+            + f'\n        ]\n      ],\n      "num_qubits": {state.num_qubits}\n    }}')
+
+
 def _cmd_prfsg_eval(config: dict) -> str:
+    """The canonical JSON of {command, config, key, seed, states}, with the
+    states block written directly. That gives the same bytes because "states"
+    sorts last among the report's keys, the inputs are same-length binary
+    strings yielded in ascending order, and "amplitudes" sorts before
+    "num_qubits" in each state."""
     instance = _build_instance(config)
-    ell = config["ell"]
     rng = stream(config["seed"], "prfsg-eval")
-    key = prfsg.keygen(instance, ell, rng)
-    states = {}
-    for value in range(2**ell):
-        x = format(value, f"0{ell}b")
-        states[x] = state_to_json(prfsg.state_gen(key, x))
-    report = {
+    key = prfsg.keygen(instance, config["ell"], rng)
+    head = _canonical_json({
         "command": "prfsg-eval",
         "config": _public_config(config),
         "seed": config["seed"],
         "key": prfsg.key_to_json(key),
-        "states": states,
-    }
-    return _canonical_json(report)
+    })
+    states = ",\n".join(f'    "{x}": {_state_text(state)}' for x, state in prfsg.state_gen_all(key))
+    return head.removesuffix("\n}\n") + ',\n  "states": {\n' + states + "\n  }\n}\n"
 
 
 def _cmd_money_demo(config: dict) -> str:

@@ -91,6 +91,24 @@ def state_gen(key: PrfsgKey, x) -> StateVector:
     return StateVector(key.num_qubits, arr)
 
 
+def state_gen_all(key: PrfsgKey):
+    """Yield (x, state_gen(key, x)) for every input x, ascending, byte for byte.
+
+    A depth-first walk of the prefix tree: the 0-child reuses its parent's
+    array and the 1-child applies the next g_i, so the 2^ell states cost
+    2^ell - 1 applications and at most ell + 1 arrays are live."""
+    ell = key.input_length
+
+    def walk(prefix: str, arr):
+        if len(prefix) == ell:
+            yield prefix, StateVector(key.num_qubits, arr)
+            return
+        yield from walk(prefix + "0", arr)
+        yield from walk(prefix + "1", apply_qga_array(key.group_elements[len(prefix) + 1], arr))
+
+    yield from walk("", apply_qga_start(key.group_elements[0], key.base_state).amplitudes)
+
+
 def key_to_json(key: PrfsgKey) -> dict:
     return {
         "lambda": key.num_qubits,

@@ -41,7 +41,7 @@ class StateVector:
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes, got shape {amps.shape}")
         norm = math.sqrt(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:  # also rejects NaN amplitudes
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         amps = amps.copy()
         amps.flags.writeable = False

@@ -7,8 +7,11 @@ bare modular exponentiation. Tests compare the library against these.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
+from qgalab import cli, prfsg
 from qgalab.circuits import Circuit, Gate, h, run_circuit, unitary_gate
 from qgalab.qga import (
     VARIANT_GENERIC,
@@ -17,7 +20,8 @@ from qgalab.qga import (
     QgaDescription,
     apply_qga,
 )
-from qgalab.states import StateVector, sample_haar_state, swap_test_sample, tensor
+from qgalab.rng import stream
+from qgalab.states import StateVector, sample_haar_state, state_to_json, swap_test_sample, tensor
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -203,6 +207,29 @@ def ske_multi_dec_reference(key, cts, rng: np.random.Generator) -> tuple[int, ..
     ]
     t = key.repetitions
     return tuple(0 if all(shots[i * t:(i + 1) * t]) else 1 for i in range(key.message_length))
+
+
+# ---------------------------------------------------------------------------
+# prfsg-eval report, one input and one dict at a time
+# ---------------------------------------------------------------------------
+
+def prfsg_eval_report_reference(config: dict) -> str:
+    """The prfsg-eval report for a validated config: state_gen per input,
+    state_to_json per state, one sort_keys indent=2 dump of the whole report."""
+    ell = config["ell"]
+    key = prfsg.keygen(cli._build_instance(config), ell, stream(config["seed"], "prfsg-eval"))
+    states = {}
+    for value in range(2**ell):
+        x = format(value, f"0{ell}b")
+        states[x] = state_to_json(prfsg.state_gen(key, x))
+    report = {
+        "command": "prfsg-eval",
+        "config": cli._public_config(config),
+        "seed": config["seed"],
+        "key": prfsg.key_to_json(key),
+        "states": states,
+    }
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

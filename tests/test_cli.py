@@ -8,13 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from qgalab import cli as cli_mod
+from qgalab import prfsg as prfsg_mod
 from qgalab import games as games_mod
 from qgalab import qga as qga_mod
+from qgalab.circuits import MAX_DENSE_QUBITS
 from qgalab.cli import main
 from qgalab.games import run_up_game, up_copy
 from qgalab.qga import iqp_poly_qga, qga_from_json
-from qgalab.states import state_from_json
+from qgalab.states import StateVector, state_from_json, state_to_json
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +98,31 @@ def test_dense_caps_reject_before_any_trial(capsys, monkeypatch, argv):
     assert out == ""
     assert "dense" in err
     assert started == []
+
+
+def _validated_config(*argv):
+    args = cli_mod._build_parser().parse_args(list(argv))
+    config = cli_mod._resolve_config(args)
+    cli_mod._validate(config, args.command)
+    return config
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lambda", "20", "--ell", "8"),
+    ("--lambda", "17", "--ell", "6"),
+])
+def test_prfsg_eval_rejects_oversize_reports_before_keygen(capsys, monkeypatch, argv):
+    drawn = []
+    monkeypatch.setattr(prfsg_mod, "keygen", lambda *args: drawn.append(args))
+    code, out, err = run_cli(capsys, "prfsg-eval", *argv)
+    assert (code, out) == (2, "")
+    assert "report cap" in err
+    assert drawn == []
+
+
+def test_prfsg_eval_largest_report_passes_validation():
+    # 2^(16 + 6) amplitudes sits exactly at the cap; nothing is allocated here
+    assert _validated_config("prfsg-eval", "--lambda", "16", "--ell", "6")["lambda"] == 16
 
 
 def test_runtime_value_error_exits_3(capsys, monkeypatch):
@@ -241,6 +269,30 @@ def test_prfsg_eval_report(capsys):
         state = state_from_json(encoded)
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12
     assert report["key"]["ell"] == 2
+
+
+@pytest.mark.parametrize("candidate", ["random-circuit", "iqp-circuit", "iqp-sparse",
+                                       "haar-unitary", "identity"])
+@pytest.mark.parametrize("lam,ell", [(1, 1), (3, 2), (5, 4), (10, 6)])
+def test_prfsg_eval_report_matches_the_dict_reference(capsys, candidate, lam, ell):
+    if candidate == "haar-unitary":
+        lam = min(lam, MAX_DENSE_QUBITS)
+    argv = ("prfsg-eval", "--candidate", candidate, "--lambda", str(lam), "--ell", str(ell),
+            "--seed", str(lam + ell))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == oracles.prfsg_eval_report_reference(_validated_config(*argv))
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("amplitudes", [
+    [complex(1.0, -0.0), complex(5e-324, 1e-05)],
+    [complex(0.1, -0.0), complex(0.0, 5e-324), complex(1e-05, np.sqrt(0.99 - 1e-10)), 0.0],
+])
+def test_state_text_equals_the_indented_dump(amplitudes):
+    state = StateVector(int(np.log2(len(amplitudes))), np.array(amplitudes))
+    expected = json.dumps({"states": {"0": state_to_json(state)}}, sort_keys=True, indent=2)
+    assert '{\n  "states": {\n    "0": ' + cli_mod._state_text(state) + "\n  }\n}" == expected
 
 
 def test_ega_check_report(capsys):

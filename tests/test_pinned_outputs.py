@@ -88,6 +88,11 @@ CLI_RUNS = {
     "prfsg-eval-iqp-sparse": ("prfsg-eval", "--lambda", "2", "--ell", "2", "--seed", "6"),
     "prfsg-eval-iqp-circuit": ("prfsg-eval", "--lambda", "3", "--ell", "2",
                                "--candidate", "iqp-circuit"),
+    # above 8 qubits (butterfly Walsh-Hadamard) with exponent-form floats
+    "prfsg-eval-iqp-circuit-large": ("prfsg-eval", "--candidate", "iqp-circuit", "--lambda", "10",
+                                     "--ell", "6", "--seed", "0"),
+    "prfsg-eval-iqp-sparse-large": ("prfsg-eval", "--candidate", "iqp-sparse", "--lambda", "9",
+                                    "--ell", "3", "--seed", "2"),
     "ega-check": ("ega-check", "--trials", "200"),
 }
 
@@ -128,6 +133,10 @@ CLI_SHA256 = {
     "money-demo": "57dda8f0fe2debcaa42e25fcdbd751549a619acaec38b2abedd60c591723eb09",
     "prfsg-eval-iqp-sparse": "fe453a12687a3e2727d8f95a0780ba530c972df80488c7bc8efb409bcb360674",
     "prfsg-eval-iqp-circuit": "04536301c36ad957da98a33c13bd72bdc0665c07484e3fe1ba2b3e82c6b34872",
+    "prfsg-eval-iqp-circuit-large":
+        "08461ab2cd5a80417967c699a83fa15810b7fbf7af2a8697905227f8e9136340",
+    "prfsg-eval-iqp-sparse-large":
+        "635d831272eee9930250d132a1f433be6fc4d964eaac25aaf61b41003aa1bd70",
     "ega-check": "40d95e609ce6eadd40ccda1a4ec3eebe26677ef7c3251ffeb7bbbdf15ce6bce6",
 }
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qgalab import prfsg as prfsg_mod
 from qgalab.prfsg import (
     GameOracle,
     HybridOracle,
@@ -18,8 +19,17 @@ from qgalab.prfsg import (
     mac_tag,
     mac_verify,
     state_gen,
+    state_gen_all,
 )
-from qgalab.qga import apply_qga, iqp_poly_qga, random_circuit_qga, sample_g_candidate3
+from qgalab.qga import (
+    apply_qga,
+    haar_unitary_qga,
+    identity_qga,
+    iqp_circuit_qga,
+    iqp_poly_qga,
+    random_circuit_qga,
+    sample_g_candidate3,
+)
 from qgalab.rng import stream
 from qgalab.states import orthogonal_state, projection_prob
 
@@ -84,6 +94,25 @@ def test_input_forms_are_equivalent():
         state_gen(key, "011")
     with pytest.raises(ValueError):
         state_gen(key, (0, 2))
+
+
+FAMILIES = [random_circuit_qga, iqp_circuit_qga, iqp_poly_qga, haar_unitary_qga, identity_qga]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("ell", [1, 3, 5])
+def test_state_gen_all_matches_state_gen_byte_for_byte(family, ell, monkeypatch):
+    key = keygen(family(3), ell, stream(ell, "prefix-tree", family.__name__))
+    applied = []
+    apply = prfsg_mod.apply_qga_array
+    monkeypatch.setattr(prfsg_mod, "apply_qga_array",
+                        lambda g, arr: applied.append(g) or apply(g, arr))
+    pairs = list(state_gen_all(key))
+    assert len(applied) == 2**ell - 1  # one per 1-child of the prefix tree
+    monkeypatch.undo()
+    assert [x for x, _ in pairs] == [format(v, f"0{ell}b") for v in range(2**ell)]
+    for x, state in pairs:
+        assert state.amplitudes.tobytes() == state_gen(key, x).amplitudes.tobytes(), x
 
 
 def test_key_json_round_trip():

@@ -60,6 +60,12 @@ def test_constructor_rejects_unnormalized():
         StateVector(1, np.array([0.5, 0.5], dtype=np.complex128))
 
 
+def test_constructor_rejects_nan_amplitudes():
+    # a NaN norm compares false against any tolerance, so it must be caught explicitly
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([1.0, np.nan], dtype=np.complex128))
+
+
 def test_amplitude_buffer_is_read_only():
     state = basis_state(2, 0)
     with pytest.raises(ValueError):
