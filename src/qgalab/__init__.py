@@ -2,7 +2,8 @@
 
 Modules by role:
 
-- ``states`` / ``circuits``: the statevector engine and gate model.
+- ``states`` / ``circuits``: the statevector engine, dense unitary blocks and
+  {T, CS} phase words.
 - ``qga``: classical descriptions of group-element unitaries and the three
   candidate families, plus exact reference families.
 - ``prfsg``: the Naor-Reingold-style pseudorandom state generator, its query

@@ -1,51 +1,39 @@
-"""Gates and circuits over the statevector core.
+"""Dense unitary blocks, {T, CS} phase words, and the Walsh-Hadamard layer.
 
-Gate application reshapes the amplitude buffer to [2]*n, moves the target
-axes to the front and applies the gate matrix to that block; a DIAG gate
-scales the block rows instead. IQP elements bypass this: H . qga.diagonal . H,
-with the Walsh-Hadamard layer H a dense matrix up to 8 qubits and, above, a
-butterfly that runs its low-bit stages on a transposed copy.
+A Gate is a dense unitary block on at most MAX_DENSE_QUBITS targets (brickwork
+blocks, Haar unitaries, the orthogonal ow adversary). Gate application
+reshapes the amplitude buffer to [2]*n, moves the target axes to the front and
+multiplies that block by the payload. A PhaseWord is the body of an
+iqp-diagonal-circuit element: a word over {T, CS} held as two int arrays, used
+only through its Z_8 phase polynomial (qga.stacked_diagonals). IQP elements
+never run gates: H . qga.diagonal . H, with the Walsh-Hadamard layer H a dense
+matrix up to 8 qubits and, above, a butterfly that runs its low-bit stages on a
+transposed copy.
 
-Dense (explicit-matrix) gates are capped at MAX_DENSE_QUBITS targets; the
-same cap applies to Haar unitary sampling.
+The MAX_DENSE_QUBITS cap also applies to Haar unitary sampling.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from functools import lru_cache
 
 import numpy as np
 
-from .states import ATOL, StateVector
+from .states import ATOL
 
 MAX_DENSE_QUBITS = 6  # dense matrices up to 64 x 64
 
 _SQRT2 = np.sqrt(2.0)
 
-FIXED_GATES: dict[str, np.ndarray] = {
-    "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2,
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
-    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-    ),
-    "CZ": np.diag([1, 1, 1, -1]).astype(np.complex128),
-    "CS": np.diag([1, 1, 1, 1j]).astype(np.complex128),
-}
-GATE_KINDS = tuple(FIXED_GATES) + ("DIAG", "UNITARY")
-
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One gate: a fixed kind, a DIAG phase vector, or a dense UNITARY."""
+    """A dense unitary on 1..MAX_DENSE_QUBITS distinct targets; the payload is
+    stored as a read-only complex128 copy."""
 
-    kind: str
     targets: tuple[int, ...]
-    payload: np.ndarray | None = None
+    payload: np.ndarray
 
     def __post_init__(self) -> None:
         targets = tuple(int(q) for q in self.targets)
@@ -55,101 +43,20 @@ class Gate:
         if any(q < 0 for q in targets):
             raise ValueError(f"negative target in gate: {targets}")
         k = len(targets)
-        if self.kind in FIXED_GATES:
-            arity = int(round(np.log2(FIXED_GATES[self.kind].shape[0])))
-            if k != arity:
-                raise ValueError(f"{self.kind} gate takes {arity} target(s), got {k}")
-            if self.payload is not None:
-                raise ValueError(f"{self.kind} gate takes no payload")
-            return
-        if self.kind == "DIAG":
-            if k < 1:
-                raise ValueError("DIAG gate needs at least one target")
-            entries = np.asarray(self.payload, dtype=np.complex128)
-            if entries.shape != (2**k,):
-                raise ValueError(f"DIAG payload must have 2^{k} entries, got {entries.shape}")
-            if np.max(np.abs(np.abs(entries) - 1.0)) > ATOL:
-                raise ValueError("DIAG entries must have unit modulus")
-            entries = entries.copy()
-            entries.flags.writeable = False
-            object.__setattr__(self, "payload", entries)
-            return
-        if self.kind == "UNITARY":
-            if not 1 <= k <= MAX_DENSE_QUBITS:
-                raise ValueError(f"UNITARY gate supports 1..{MAX_DENSE_QUBITS} targets, got {k}")
-            u = np.asarray(self.payload, dtype=np.complex128)
-            if u.shape != (2**k, 2**k):
-                raise ValueError(f"UNITARY payload must be {2**k} x {2**k}, got {u.shape}")
-            if np.max(np.abs(u.conj().T @ u - np.eye(2**k))) > ATOL:
-                raise ValueError("UNITARY payload is not unitary within 1e-10")
-            u = u.copy()
-            u.flags.writeable = False
-            object.__setattr__(self, "payload", u)
-            return
-        raise ValueError(f"unknown gate kind: {self.kind!r}")
+        if not 1 <= k <= MAX_DENSE_QUBITS:
+            raise ValueError(f"a gate acts on 1..{MAX_DENSE_QUBITS} targets, got {k}")
+        u = np.array(self.payload, dtype=np.complex128)
+        if u.shape != (2**k, 2**k):
+            raise ValueError(f"gate payload must be {2**k} x {2**k}, got {u.shape}")
+        if np.max(np.abs(u.conj().T @ u - np.eye(2**k))) > ATOL:
+            raise ValueError("gate payload is not unitary within 1e-10")
+        u.flags.writeable = False
+        object.__setattr__(self, "payload", u)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gate):
             return NotImplemented
-        if self.kind != other.kind or self.targets != other.targets:
-            return False
-        if self.payload is None or other.payload is None:
-            return self.payload is other.payload
-        return bool(np.array_equal(self.payload, other.payload))
-
-    def matrix(self) -> np.ndarray:
-        if self.kind in FIXED_GATES:
-            return FIXED_GATES[self.kind]
-        if self.kind == "DIAG":
-            return np.diag(self.payload)
-        return self.payload
-
-
-def h(q: int) -> Gate:
-    return Gate("H", (q,))
-
-
-def x(q: int) -> Gate:
-    return Gate("X", (q,))
-
-
-def z(q: int) -> Gate:
-    return Gate("Z", (q,))
-
-
-def s(q: int) -> Gate:
-    return Gate("S", (q,))
-
-
-def t(q: int) -> Gate:
-    return Gate("T", (q,))
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (control, target))
-
-
-def cz(a: int, b: int) -> Gate:
-    return Gate("CZ", (a, b))
-
-
-def cs(a: int, b: int) -> Gate:
-    return Gate("CS", (a, b))
-
-
-def diag_gate(targets: tuple[int, ...], entries) -> Gate:
-    return Gate("DIAG", tuple(targets), np.asarray(entries, dtype=np.complex128))
-
-
-def diag_from_function(targets: tuple[int, ...], phase_fn: Callable[[int], complex]) -> Gate:
-    """Tabulate a diagonal gate from a phase function on target basis indices."""
-    k = len(targets)
-    entries = np.array([phase_fn(i) for i in range(2**k)], dtype=np.complex128)
-    return Gate("DIAG", tuple(targets), entries)
-
-
-def unitary_gate(targets: tuple[int, ...], matrix) -> Gate:
-    return Gate("UNITARY", tuple(targets), np.asarray(matrix, dtype=np.complex128))
+        return self.targets == other.targets and bool(np.array_equal(self.payload, other.payload))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +78,36 @@ class Circuit:
         return self.num_qubits == other.num_qubits and self.gates == other.gates
 
 
+@dataclass(frozen=True, eq=False)
+class PhaseWord:
+    """A word over {T, CS} in draw order, as two read-only int arrays: letter i
+    is T on wire a[i] when b[i] is -1, else CS on wires (a[i], b[i])."""
+
+    num_qubits: int
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.num_qubits
+        a = np.array(self.a, dtype=np.int64)
+        b = np.array(self.b, dtype=np.int64)
+        if not (n >= 1 and a.ndim == 1 and a.shape == b.shape
+                and np.all((a >= 0) & (a < n) & (b >= -1) & (b < n) & (a != b))):
+            raise ValueError(f"a phase word holds T on one of {n} wires or CS on two distinct ones")
+        a.flags.writeable = False
+        b.flags.writeable = False
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhaseWord):
+            return NotImplemented
+        return (self.num_qubits == other.num_qubits and bool(np.array_equal(self.a, other.a))
+                and bool(np.array_equal(self.b, other.b)))
+
+
 # ---------------------------------------------------------------------------
-# application kernels (raw arrays; StateVector wrappers at the bottom)
+# application kernels (raw arrays)
 # ---------------------------------------------------------------------------
 
 def apply_gate_array(arr: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
@@ -180,11 +115,7 @@ def apply_gate_array(arr: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray
     k = len(gate.targets)
     cube = arr.reshape([2] * num_qubits)
     cube = np.moveaxis(cube, gate.targets, range(k))
-    block = cube.reshape(2**k, -1)
-    if gate.kind == "DIAG":
-        block = gate.payload[:, None] * block
-    else:
-        block = gate.matrix() @ block
+    block = gate.payload @ cube.reshape(2**k, -1)
     cube = block.reshape([2] * num_qubits)
     cube = np.moveaxis(cube, range(k), gate.targets)
     return cube.reshape(-1)
@@ -236,29 +167,6 @@ def hadamard_layer_array(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    if gate.targets and max(gate.targets) >= state.num_qubits:
-        raise ValueError(f"gate targets {gate.targets} out of range for {state.num_qubits} qubits")
-    return StateVector(state.num_qubits, apply_gate_array(state.amplitudes, state.num_qubits, gate))
-
-
-def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    if circuit.num_qubits != state.num_qubits:
-        raise ValueError("circuit and state qubit counts differ")
-    return StateVector(state.num_qubits, run_circuit_array(circuit, state.amplitudes))
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense matrix of a whole circuit (oracle/debug aid, capped at the dense limit)."""
-    if circuit.num_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense expansion capped at {MAX_DENSE_QUBITS} qubits")
-    dim = 2**circuit.num_qubits
-    cols = np.eye(dim, dtype=np.complex128)
-    for j in range(dim):
-        cols[:, j] = run_circuit_array(circuit, cols[:, j])
-    return cols
-
-
 # ---------------------------------------------------------------------------
 # Haar-random unitaries
 # ---------------------------------------------------------------------------
@@ -284,24 +192,15 @@ def _complex_pairs(values: np.ndarray) -> list:
 
 
 def gate_to_json(gate: Gate) -> dict:
-    obj: dict = {"kind": gate.kind, "targets": list(gate.targets)}
-    if gate.kind == "DIAG":
-        obj["payload"] = _complex_pairs(gate.payload)
-    elif gate.kind == "UNITARY":
-        obj["payload"] = [_complex_pairs(row) for row in gate.payload]
-    return obj
+    payload = [_complex_pairs(row) for row in gate.payload]
+    return {"kind": "UNITARY", "targets": list(gate.targets), "payload": payload}
 
 
 def gate_from_json(obj: dict) -> Gate:
-    kind = obj["kind"]
-    targets = tuple(int(q) for q in obj["targets"])
-    if kind == "DIAG":
-        entries = np.array([complex(re, im) for re, im in obj["payload"]], dtype=np.complex128)
-        return Gate(kind, targets, entries)
-    if kind == "UNITARY":
-        rows = [[complex(re, im) for re, im in row] for row in obj["payload"]]
-        return Gate(kind, targets, np.array(rows, dtype=np.complex128))
-    return Gate(kind, targets)
+    if obj["kind"] != "UNITARY":
+        raise ValueError(f"a circuit holds only UNITARY gates, got {obj['kind']!r}")
+    rows = [[complex(re, im) for re, im in row] for row in obj["payload"]]
+    return Gate(tuple(int(q) for q in obj["targets"]), np.array(rows, dtype=np.complex128))
 
 
 def circuit_to_json(circuit: Circuit) -> dict:
@@ -310,3 +209,23 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 def circuit_from_json(obj: dict) -> Circuit:
     return Circuit(int(obj["num_qubits"]), tuple(gate_from_json(g) for g in obj["gates"]))
+
+
+def word_to_json(word: PhaseWord) -> dict:
+    gates = [{"kind": "T", "targets": [a]} if b < 0 else {"kind": "CS", "targets": [a, b]}
+             for a, b in zip(word.a.tolist(), word.b.tolist())]
+    return {"num_qubits": word.num_qubits, "gates": gates}
+
+
+_LETTER_ARITY = {"T": 1, "CS": 2}
+
+
+def word_from_json(obj: dict) -> PhaseWord:
+    a, b = [], []
+    for g in obj["gates"]:
+        targets = [int(q) for q in g["targets"]]
+        if len(targets) != _LETTER_ARITY.get(g["kind"]) or min(targets) < 0:
+            raise ValueError(f"a phase word holds only T on one wire and CS on two, got {g}")
+        a.append(targets[0])
+        b.append(targets[1] if len(targets) == 2 else -1)
+    return PhaseWord(int(obj["num_qubits"]), a, b)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prfsg
-from .circuits import Circuit, sample_haar_unitary, unitary_gate
+from .circuits import Circuit, Gate, sample_haar_unitary
 from .distributions import DistributionId, gen_distribution
 from .qga import VARIANT_GENERIC, QgaDescription, QgaInstance, apply_qga, apply_qga_start
 from .rng import stream
@@ -460,7 +460,7 @@ def ow_orthogonal(ch: OwChallenge, rng: np.random.Generator) -> QgaDescription:
     b_s = _complete_basis(base)
     b_w = _complete_basis(w)
     u = b_w @ b_s.conj().T
-    return QgaDescription(VARIANT_GENERIC, n, Circuit(n, (unitary_gate(tuple(range(n)), u),)))
+    return QgaDescription(VARIANT_GENERIC, n, Circuit(n, (Gate(tuple(range(n)), u),)))
 
 
 def _complete_basis(first_column: np.ndarray) -> np.ndarray:

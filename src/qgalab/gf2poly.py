@@ -37,16 +37,6 @@ class SparsePolyF2:
             if m.bit_count() > d:
                 raise ValueError(f"monomial mask {m:#x} exceeds degree bound {d}")
 
-    def evaluate(self, assignment: int) -> int:
-        """f(x) for an assignment mask (bit j = x_{j+1}); returns 0 or 1."""
-        if not 0 <= assignment < 2**self.num_vars:
-            raise ValueError(f"assignment {assignment} out of range")
-        value = 0
-        for m in self.terms:
-            if assignment & m == m:
-                value ^= 1
-        return value
-
     def sign_vector(self) -> np.ndarray:
         """(-1)^f over all basis indices, qubit j <-> variable x_{j+1}: the
         parity of ``subset_sums`` of the 0/1 term table, in O(num_vars *

@@ -10,7 +10,8 @@ tests and games:
 
   1. generic-circuit: a brickwork of independent Haar-random two-qubit blocks.
   2. iqp-diagonal-circuit: H^(x)n . D . H^(x)n with D a random word over
-     {T, CS} on random wires: a Z_8 phase polynomial (see diagonal()).
+     {T, CS} on random wires, held as a circuits.PhaseWord: a Z_8 phase
+     polynomial (see diagonal()).
   3. iqp-sparse-poly: same sandwich with D|x> = (-1)^{f(x)}|x> for a random
      sparse GF(2) polynomial f with f(0) = 0.
 
@@ -30,14 +31,13 @@ from typing import Callable
 import numpy as np
 
 from . import circuits as qc
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, PhaseWord
 from .gf2poly import PARITY_SIGNS, SparsePolyF2, poly_from_json, poly_to_json, sample_sparse_poly, subset_sums
 from .states import StateVector, basis_state
 
 VARIANT_GENERIC = "generic-circuit"
 VARIANT_IQP_CIRCUIT = "iqp-diagonal-circuit"
 VARIANT_IQP_POLY = "iqp-sparse-poly"
-VARIANTS = (VARIANT_GENERIC, VARIANT_IQP_CIRCUIT, VARIANT_IQP_POLY)
 
 
 @dataclass(frozen=True)
@@ -69,27 +69,26 @@ def _first_layer(start: StateDescription) -> np.ndarray:
     return first
 
 
+_BODY_TYPES = {VARIANT_GENERIC: Circuit, VARIANT_IQP_CIRCUIT: PhaseWord, VARIANT_IQP_POLY: SparsePolyF2}
+
+
 @dataclass(frozen=True, eq=False)
 class QgaDescription:
     """Classical description of one group element."""
 
     variant: str
     num_qubits: int
-    body: Circuit | SparsePolyF2
+    body: Circuit | PhaseWord | SparsePolyF2
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        body_type = _BODY_TYPES.get(self.variant)
+        if body_type is None:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == VARIANT_IQP_POLY:
-            if not isinstance(self.body, SparsePolyF2) or self.body.num_vars != self.num_qubits:
-                raise ValueError("iqp-sparse-poly body must be a polynomial on num_qubits variables")
-        else:
-            if not isinstance(self.body, Circuit) or self.body.num_qubits != self.num_qubits:
-                raise ValueError("circuit body must act on num_qubits qubits")
-            if self.variant == VARIANT_IQP_CIRCUIT:
-                for g in self.body.gates:
-                    if g.kind not in ("T", "CS"):
-                        raise ValueError("iqp-diagonal-circuit body admits only T and CS gates")
+        if not isinstance(self.body, body_type):
+            raise ValueError(f"{self.variant} body must be a {body_type.__name__}")
+        width = self.body.num_vars if body_type is SparsePolyF2 else self.body.num_qubits
+        if width != self.num_qubits:
+            raise ValueError(f"{self.variant} body must act on num_qubits qubits")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QgaDescription):
@@ -114,7 +113,8 @@ def stacked_diagonals(descs) -> np.ndarray:
     subset_sums over the batch: (-1)^f for iqp-sparse-poly; omega^k(x), omega =
     e^{i pi/4}, for iqp-diagonal-circuit, where k(x) sums the weights of the
     monomials contained in x: each T on q weighs 1 at monomial {q}, each CS on
-    (a, b) weighs 2 at {a, b}. All elements share one variant and qubit count."""
+    (a, b) weighs 2 at {a, b}, summed mod 256 in the uint8 table (8 | 256, so
+    omega^k is unchanged). All elements share one variant and qubit count."""
     variant, n = descs[0].variant, descs[0].num_qubits
     if variant == VARIANT_GENERIC:
         raise ValueError(f"{variant} has no diagonal form")
@@ -125,9 +125,10 @@ def stacked_diagonals(descs) -> np.ndarray:
         if variant == VARIANT_IQP_POLY:
             row[list(desc.body.terms)] = 1
             continue
-        for g in desc.body.gates:
-            mask = sum(1 << q for q in g.targets)
-            row[mask] = (row[mask] + (2 if g.kind == "CS" else 1)) % 8
+        a, b = desc.body.a, desc.body.b
+        t = b < 0
+        # a T letter has b = -1, so its second shift repeats its own wire
+        np.add.at(row, (1 << a) | (1 << np.where(t, a, b)), np.where(t, 1, 2).astype(np.uint8))
     table = PARITY_SIGNS if variant == VARIANT_IQP_POLY else _OMEGA_POWERS
     stack = table.take(subset_sums(weights))
     stack.flags.writeable = False
@@ -187,22 +188,24 @@ def sample_g_candidate1(num_qubits: int, depth: int, rng: np.random.Generator) -
     for layer in range(depth):
         start = layer % 2
         for a in range(start, num_qubits - 1, 2):
-            gates.append(qc.unitary_gate((a, a + 1), qc.sample_haar_unitary(2, rng)))
+            gates.append(Gate((a, a + 1), qc.sample_haar_unitary(2, rng)))
     return QgaDescription(VARIANT_GENERIC, num_qubits, Circuit(num_qubits, tuple(gates)))
 
 
 def sample_g_candidate2(num_qubits: int, num_gates: int, rng: np.random.Generator) -> QgaDescription:
-    """Random diagonal word over {T, CS} on random wires, H-sandwiched on use."""
+    """Random diagonal word over {T, CS} on random wires, H-sandwiched on use:
+    per letter, a fair coin (when there are two wires) picks CS on a random
+    pair, else T on a random wire."""
     if num_gates < 0:
         raise ValueError("num_gates must be non-negative")
-    gates: list[Gate] = []
-    for _ in range(num_gates):
+    a = np.empty(num_gates, dtype=np.int64)
+    b = np.full(num_gates, -1, dtype=np.int64)
+    for i in range(num_gates):
         if num_qubits >= 2 and rng.random() < 0.5:
-            a, b = rng.choice(num_qubits, size=2, replace=False)
-            gates.append(qc.cs(int(a), int(b)))
+            a[i], b[i] = rng.choice(num_qubits, size=2, replace=False)
         else:
-            gates.append(qc.t(int(rng.integers(num_qubits))))
-    return QgaDescription(VARIANT_IQP_CIRCUIT, num_qubits, Circuit(num_qubits, tuple(gates)))
+            a[i] = rng.integers(num_qubits)
+    return QgaDescription(VARIANT_IQP_CIRCUIT, num_qubits, PhaseWord(num_qubits, a, b))
 
 
 def sample_g_candidate3(
@@ -268,7 +271,7 @@ def haar_unitary_qga(num_qubits: int) -> QgaInstance:
     """
     def sampler(rng: np.random.Generator) -> QgaDescription:
         u = qc.sample_haar_unitary(num_qubits, rng)
-        gate = qc.unitary_gate(tuple(range(num_qubits)), u)
+        gate = Gate(tuple(range(num_qubits)), u)
         return QgaDescription(VARIANT_GENERIC, num_qubits, Circuit(num_qubits, (gate,)))
 
     return QgaInstance("haar", num_qubits, {"candidate": "haar", "lambda": num_qubits}, sampler)
@@ -287,7 +290,8 @@ def identity_qga(num_qubits: int) -> QgaInstance:
 # ---------------------------------------------------------------------------
 
 def qga_to_json(desc: QgaDescription) -> dict:
-    to_json = poly_to_json if desc.variant == VARIANT_IQP_POLY else qc.circuit_to_json
+    to_json = {VARIANT_GENERIC: qc.circuit_to_json, VARIANT_IQP_CIRCUIT: qc.word_to_json,
+               VARIANT_IQP_POLY: poly_to_json}[desc.variant]
     return {"variant": desc.variant, "num_qubits": desc.num_qubits, "body": to_json(desc.body)}
 
 
@@ -295,9 +299,13 @@ def qga_from_json(obj: dict) -> QgaDescription:
     variant = obj["variant"]
     n = int(obj["num_qubits"])
     if variant == VARIANT_IQP_POLY:
-        body: Circuit | SparsePolyF2 = poly_from_json(obj["body"], n)
-    else:
+        body: Circuit | PhaseWord | SparsePolyF2 = poly_from_json(obj["body"], n)
+    elif variant == VARIANT_IQP_CIRCUIT:
+        body = qc.word_from_json(obj["body"])
+    elif variant == VARIANT_GENERIC:
         body = qc.circuit_from_json(obj["body"])
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
     return QgaDescription(variant, n, body)
 
 

@@ -8,11 +8,12 @@ bare modular exponentiation. Tests compare the library against these.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 
 from qgalab import cli, prfsg
-from qgalab.circuits import Circuit, Gate, h, run_circuit, unitary_gate
+from qgalab.circuits import Circuit, Gate, run_circuit_array
 from qgalab.qga import (
     VARIANT_GENERIC,
     VARIANT_IQP_CIRCUIT,
@@ -25,8 +26,8 @@ from qgalab.states import StateVector, sample_haar_state, state_to_json, swap_te
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
-# textbook matrices, written out independently of the library's gate table
-_FIXED = {
+# textbook matrices, written out independently of the library
+TEXTBOOK = {
     "H": H2,
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Z": np.diag([1.0, -1.0]).astype(np.complex128),
@@ -39,16 +40,25 @@ _FIXED = {
 }
 
 
-def gate_matrix_small(gate: Gate) -> np.ndarray:
-    """The gate's own unitary on its targets (diagonal payloads expanded)."""
-    if gate.kind in _FIXED:
-        return _FIXED[gate.kind]
-    if gate.kind == "DIAG":
-        return np.diag(np.asarray(gate.payload, dtype=np.complex128))
-    return np.asarray(gate.payload, dtype=np.complex128)
+class Letter(NamedTuple):
+    """A textbook gate: a TEXTBOOK kind on its targets, with that matrix."""
+
+    kind: str
+    targets: tuple[int, ...]
+    payload: np.ndarray
 
 
-def dense_gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
+def letter(kind: str, *targets: int) -> Letter:
+    return Letter(kind, targets, TEXTBOOK[kind])
+
+
+def word_letters(word) -> list[Letter]:
+    """The {T, CS} letters of a circuits.PhaseWord, in order."""
+    return [letter("T", a) if b < 0 else letter("CS", a, b)
+            for a, b in zip(word.a.tolist(), word.b.tolist())]
+
+
+def dense_gate_matrix(gate: Gate | Letter, num_qubits: int) -> np.ndarray:
     """Embed a gate into the full 2^n unitary by direct index arithmetic.
 
     Qubit 0 is the most significant bit of the amplitude index. For each
@@ -56,7 +66,7 @@ def dense_gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
     small matrix, and written back.
     """
     dim = 2**num_qubits
-    small = gate_matrix_small(gate)
+    small = np.asarray(gate.payload, dtype=np.complex128)
     k = len(gate.targets)
     full = np.zeros((dim, dim), dtype=np.complex128)
     shifts = [num_qubits - 1 - t for t in gate.targets]
@@ -76,10 +86,11 @@ def dense_gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
     return full
 
 
-def dense_circuit_matrix(circuit: Circuit) -> np.ndarray:
-    m = np.eye(2**circuit.num_qubits, dtype=np.complex128)
-    for gate in circuit.gates:
-        m = dense_gate_matrix(gate, circuit.num_qubits) @ m
+def dense_circuit_matrix(num_qubits: int, gates) -> np.ndarray:
+    """The product of a gate (or letter) sequence, first gate applied first."""
+    m = np.eye(2**num_qubits, dtype=np.complex128)
+    for gate in gates:
+        m = dense_gate_matrix(gate, num_qubits) @ m
     return m
 
 
@@ -167,10 +178,10 @@ def dense_qga_matrix(desc: QgaDescription) -> np.ndarray:
     """Full unitary of a group-element description, built independently."""
     n = desc.num_qubits
     if desc.variant == VARIANT_GENERIC:
-        return dense_circuit_matrix(desc.body)
+        return dense_circuit_matrix(n, desc.body.gates)
     hn = hadamard_all(n)
     if desc.variant == VARIANT_IQP_CIRCUIT:
-        return hn @ dense_circuit_matrix(desc.body) @ hn
+        return hn @ dense_circuit_matrix(n, word_letters(desc.body)) @ hn
     if desc.variant == VARIANT_IQP_POLY:
         poly = desc.body
         signs = np.empty(2**n, dtype=np.complex128)
@@ -179,6 +190,17 @@ def dense_qga_matrix(desc: QgaDescription) -> np.ndarray:
             signs[z] = -1.0 if poly_eval_reference(poly, bits) else 1.0
         return hn @ np.diag(signs) @ hn
     raise ValueError(f"unknown variant {desc.variant}")
+
+
+def phase_weights_reference(descs) -> np.ndarray:
+    """The Z_8 weight table of each {T, CS} word, one letter at a time: a T on q
+    adds 1 at monomial {q}, a CS on (a, b) adds 2 at {a, b}, reduced mod 8."""
+    weights = np.zeros((len(descs), 2**descs[0].num_qubits), dtype=np.uint8)
+    for row, desc in zip(weights, descs):
+        for kind, targets, _ in word_letters(desc.body):
+            mask = sum(1 << q for q in targets)
+            row[mask] = (row[mask] + (2 if kind == "CS" else 1)) % 8
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +268,13 @@ def swap_test_circuit_accept_prob(a: StateVector, b: StateVector) -> float:
         raise ValueError("register sizes differ")
     n = a.num_qubits
     total = 1 + 2 * n
-    gates = [h(0)]
+    gates = [Gate((0,), H2)]
     for i in range(n):
-        gates.append(unitary_gate((0, 1 + i, 1 + n + i), _CSWAP))
-    gates.append(h(0))
+        gates.append(Gate((0, 1 + i, 1 + n + i), _CSWAP))
+    gates.append(Gate((0,), H2))
     circuit = Circuit(total, tuple(gates))
     anc = StateVector(1, np.array([1.0, 0.0], dtype=np.complex128))
-    out = run_circuit(circuit, tensor(anc, a, b))
-    amps = out.amplitudes
+    amps = run_circuit_array(circuit, tensor(anc, a, b).amplitudes)
     # ancilla is qubit 0, the top bit of the index
     return float(np.sum(np.abs(amps[: 2 ** (2 * n)]) ** 2))
 

@@ -1,5 +1,5 @@
-"""Gates, circuits, the Hadamard layer and Haar unitary sampling, checked
-against independently built dense matrices."""
+"""Dense gates, circuits, phase words, the Hadamard layer and Haar unitary
+sampling, checked against independently built dense matrices."""
 import json
 
 import numpy as np
@@ -7,35 +7,34 @@ import pytest
 
 import oracles
 from qgalab.circuits import (
-    FIXED_GATES,
     MAX_DENSE_QUBITS,
     Circuit,
     Gate,
-    apply_gate,
+    PhaseWord,
+    apply_gate_array,
     circuit_from_json,
     circuit_to_json,
-    circuit_unitary,
-    cnot,
-    cs,
-    cz,
-    diag_from_function,
-    diag_gate,
     gate_from_json,
     gate_to_json,
-    h,
     hadamard_layer_array,
-    run_circuit,
-    s,
+    run_circuit_array,
     sample_haar_unitary,
-    t,
-    unitary_gate,
-    x,
-    z,
+    word_from_json,
+    word_to_json,
 )
 from qgalab.rng import stream
 from qgalab.states import basis_state, plus_state, sample_haar_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def dense(kind, *targets):
+    """A library Gate carrying the oracle's textbook matrix for kind."""
+    return Gate(targets, oracles.TEXTBOOK[kind])
+
+
+def apply(gate, n, state):
+    return apply_gate_array(state.amplitudes, n, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -44,125 +43,116 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 def test_gate_rejects_duplicate_and_negative_targets():
     with pytest.raises(ValueError):
-        Gate("CNOT", (1, 1))
+        dense("CNOT", 1, 1)
     with pytest.raises(ValueError):
-        Gate("H", (-1,))
+        dense("H", -1)
 
 
 def test_gate_arity_checks():
     with pytest.raises(ValueError):
-        Gate("H", (0, 1))
+        dense("H", 0, 1)
     with pytest.raises(ValueError):
-        Gate("CNOT", (0,))
-
-
-def test_fixed_gate_rejects_payload():
+        dense("CNOT", 0)
     with pytest.raises(ValueError):
-        Gate("H", (0,), np.eye(2))
-
-
-def test_diag_gate_validation():
-    with pytest.raises(ValueError):
-        Gate("DIAG", (), np.array([1.0]))
-    with pytest.raises(ValueError):
-        diag_gate((0,), [1.0, 0.5])  # not unit modulus
-    with pytest.raises(ValueError):
-        diag_gate((0,), [1.0, 1.0, 1.0, 1.0])  # wrong length
-    gate = diag_gate((0, 1), [1, -1, 1j, -1j])
-    assert gate.payload.flags.writeable is False
+        Gate((), np.eye(1))
 
 
 def test_unitary_gate_validation():
     with pytest.raises(ValueError):
-        unitary_gate((0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        Gate((0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        unitary_gate(tuple(range(MAX_DENSE_QUBITS + 1)), np.eye(2 ** (MAX_DENSE_QUBITS + 1)))
+        Gate(tuple(range(MAX_DENSE_QUBITS + 1)), np.eye(2 ** (MAX_DENSE_QUBITS + 1)))
     with pytest.raises(ValueError):
-        unitary_gate((0, 1), np.eye(2))  # shape mismatch
+        Gate((0, 1), np.eye(2))  # shape mismatch
+    matrix = np.array(oracles.TEXTBOOK["CZ"])
+    gate = Gate((0, 1), matrix)
+    assert gate.payload.flags.writeable is False and gate.payload.dtype == np.complex128
+    matrix[3, 3] = 1.0  # the gate keeps its own copy
+    assert gate.payload[3, 3] == -1.0
 
 
 def test_unknown_gate_kind():
-    with pytest.raises(ValueError):
-        Gate("Y", (0,))
+    obj = gate_to_json(dense("H", 0))
+    for kind in ("Y", "T", "DIAG"):
+        with pytest.raises(ValueError):
+            gate_from_json({**obj, "kind": kind})
 
 
 def test_gate_equality():
-    assert h(0) == h(0)
-    assert h(0) != h(1)
-    assert h(0) != t(0)
-    assert diag_gate((0,), [1, -1]) == diag_gate((0,), [1, -1])
-    assert diag_gate((0,), [1, -1]) != diag_gate((0,), [1, 1j])
-    assert h(0) != "h"
+    assert dense("H", 0) == dense("H", 0)
+    assert dense("H", 0) != dense("H", 1)
+    assert dense("H", 0) != dense("T", 0)
+    assert dense("H", 0) != "h"
 
 
 def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit(0, ())
     with pytest.raises(ValueError):
-        Circuit(1, (cnot(0, 1),))
-    assert Circuit(2, (h(0),)) == Circuit(2, (h(0),))
-    assert Circuit(2, (h(0),)) != Circuit(2, (h(1),))
+        Circuit(1, (dense("CNOT", 0, 1),))
+    assert Circuit(2, (dense("H", 0),)) == Circuit(2, (dense("H", 0),))
+    assert Circuit(2, (dense("H", 0),)) != Circuit(2, (dense("H", 1),))
 
 
 # ---------------------------------------------------------------------------
-# single-gate facts
+# single-gate facts: they pin the axis order of apply_gate_array
 # ---------------------------------------------------------------------------
 
 def test_h_on_zero():
-    out = apply_gate(basis_state(1, 0), h(0))
-    assert np.allclose(out.amplitudes, [INV_SQRT2, INV_SQRT2])
+    out = apply(dense("H", 0), 1, basis_state(1, 0))
+    assert np.allclose(out, [INV_SQRT2, INV_SQRT2])
 
 
 def test_x_flips():
-    out = apply_gate(basis_state(1, 0), x(0))
-    assert np.array_equal(out.amplitudes, basis_state(1, 1).amplitudes)
+    out = apply(dense("X", 0), 1, basis_state(1, 0))
+    assert np.array_equal(out, basis_state(1, 1).amplitudes)
 
 
 def test_t_phases_one():
-    out = apply_gate(basis_state(1, 1), t(0))
-    assert out.amplitudes[1] == pytest.approx(np.exp(1j * np.pi / 4))
+    out = apply(dense("T", 0), 1, basis_state(1, 1))
+    assert out[1] == pytest.approx(np.exp(1j * np.pi / 4))
 
 
 def test_s_and_z_phases(rng):
     psi = sample_haar_state(1, rng)
-    s_out = apply_gate(psi, s(0))
-    z_out = apply_gate(psi, z(0))
-    assert s_out.amplitudes[1] == pytest.approx(1j * psi.amplitudes[1])
-    assert z_out.amplitudes[1] == pytest.approx(-psi.amplitudes[1])
+    s_out = apply(dense("S", 0), 1, psi)
+    z_out = apply(dense("Z", 0), 1, psi)
+    assert s_out[1] == pytest.approx(1j * psi.amplitudes[1])
+    assert z_out[1] == pytest.approx(-psi.amplitudes[1])
 
 
 def test_cs_phases_eleven_only():
-    out = apply_gate(basis_state(2, 3), cs(0, 1))
-    assert out.amplitudes[3] == pytest.approx(1j)
+    out = apply(dense("CS", 0, 1), 2, basis_state(2, 3))
+    assert out[3] == pytest.approx(1j)
     for idx in range(3):
-        out = apply_gate(basis_state(2, idx), cs(0, 1))
-        assert out.amplitudes[idx] == pytest.approx(1.0)
+        out = apply(dense("CS", 0, 1), 2, basis_state(2, idx))
+        assert out[idx] == pytest.approx(1.0)
 
 
 def test_cnot_control_is_first_target():
-    out = apply_gate(basis_state(2, 2), cnot(0, 1))  # |10> -> |11>
-    assert np.array_equal(out.amplitudes, basis_state(2, 3).amplitudes)
-    out = apply_gate(basis_state(2, 1), cnot(0, 1))  # |01> unchanged
-    assert np.array_equal(out.amplitudes, basis_state(2, 1).amplitudes)
+    out = apply(dense("CNOT", 0, 1), 2, basis_state(2, 2))  # |10> -> |11>
+    assert np.array_equal(out, basis_state(2, 3).amplitudes)
+    out = apply(dense("CNOT", 0, 1), 2, basis_state(2, 1))  # |01> unchanged
+    assert np.array_equal(out, basis_state(2, 1).amplitudes)
+    out = apply(dense("CNOT", 1, 0), 2, basis_state(2, 1))  # |01> -> |11> with control 1
+    assert np.array_equal(out, basis_state(2, 3).amplitudes)
 
 
 def test_cz_is_symmetric(rng):
     psi = sample_haar_state(2, rng)
-    assert np.allclose(
-        apply_gate(psi, cz(0, 1)).amplitudes, apply_gate(psi, cz(1, 0)).amplitudes
-    )
+    assert np.allclose(apply(dense("CZ", 0, 1), 2, psi), apply(dense("CZ", 1, 0), 2, psi))
 
 
 def test_gate_on_nonadjacent_wires_matches_oracle(rng):
-    gate = cnot(2, 0)
+    gate = dense("CNOT", 2, 0)
     psi = sample_haar_state(3, rng)
     expected = oracles.dense_gate_matrix(gate, 3) @ psi.amplitudes
-    assert np.max(np.abs(apply_gate(psi, gate).amplitudes - expected)) < 1e-12
+    assert np.max(np.abs(apply(gate, 3, psi) - expected)) < 1e-12
 
 
 def test_apply_gate_range_check():
     with pytest.raises(ValueError):
-        apply_gate(basis_state(1), h(1))
+        apply(dense("H", 1), 1, basis_state(1))
 
 
 # ---------------------------------------------------------------------------
@@ -171,45 +161,32 @@ def test_apply_gate_range_check():
 
 def test_empty_circuit_is_identity(rng):
     psi = sample_haar_state(3, rng)
-    out = run_circuit(Circuit(3, ()), psi)
-    assert np.array_equal(out.amplitudes, psi.amplitudes)
+    out = run_circuit_array(Circuit(3, ()), psi.amplitudes)
+    assert np.array_equal(out, psi.amplitudes)
 
 
 def test_h_squared_is_identity(rng):
     psi = sample_haar_state(1, rng)
-    out = run_circuit(Circuit(1, (h(0), h(0))), psi)
-    assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-12
+    out = run_circuit_array(Circuit(1, (dense("H", 0), dense("H", 0))), psi.amplitudes)
+    assert np.max(np.abs(out - psi.amplitudes)) < 1e-12
 
 
 def test_hzh_is_x():
     # computed via the oracle product as well, not just the known identity
-    circuit = Circuit(1, (h(0), z(0), h(0)))
-    out = run_circuit(circuit, basis_state(1, 0))
-    assert np.max(np.abs(out.amplitudes - basis_state(1, 1).amplitudes)) < 1e-12
-    product = oracles.dense_circuit_matrix(circuit)
-    assert np.max(np.abs(product - oracles.gate_matrix_small(x(0)))) < 1e-12
-
-
-def test_run_circuit_size_mismatch():
-    with pytest.raises(ValueError):
-        run_circuit(Circuit(2, ()), basis_state(1))
+    gates = (dense("H", 0), dense("Z", 0), dense("H", 0))
+    out = run_circuit_array(Circuit(1, gates), basis_state(1, 0).amplitudes)
+    assert np.max(np.abs(out - basis_state(1, 1).amplitudes)) < 1e-12
+    product = oracles.dense_circuit_matrix(1, gates)
+    assert np.max(np.abs(product - oracles.TEXTBOOK["X"])) < 1e-12
 
 
 def _random_gate(n, rng):
-    kind = rng.integers(6)
-    wires = rng.permutation(n)
-    if kind == 0:
-        return h(int(wires[0]))
-    if kind == 1:
-        return t(int(wires[0]))
-    if kind == 2:
-        return cnot(int(wires[0]), int(wires[1]))
-    if kind == 3:
-        return cs(int(wires[0]), int(wires[1]))
-    if kind == 4:
-        phases = np.exp(2j * np.pi * rng.random(4))
-        return diag_gate((int(wires[0]), int(wires[1])), phases)
-    return unitary_gate((int(wires[0]), int(wires[1])), sample_haar_unitary(2, rng))
+    kind = rng.integers(5)
+    wires = [int(q) for q in rng.permutation(n)]
+    if kind < 4:
+        name = ("H", "T", "CNOT", "CS")[kind]
+        return dense(name, *wires[: 1 if kind < 2 else 2])
+    return Gate((wires[0], wires[1]), sample_haar_unitary(2, rng))
 
 
 def test_random_circuits_match_dense_oracle(rng):
@@ -217,23 +194,39 @@ def test_random_circuits_match_dense_oracle(rng):
     for trial in range(8):
         n = 3
         gates = tuple(_random_gate(n, rng) for _ in range(6))
-        circuit = Circuit(n, gates)
         psi = sample_haar_state(n, rng)
-        fast = run_circuit(circuit, psi).amplitudes
-        slow = oracles.dense_circuit_matrix(circuit) @ psi.amplitudes
+        fast = run_circuit_array(Circuit(n, gates), psi.amplitudes)
+        slow = oracles.dense_circuit_matrix(n, gates) @ psi.amplitudes
         assert np.max(np.abs(fast - slow)) < 1e-10
 
 
-def test_circuit_unitary_matches_oracle(rng):
-    gates = (h(0), cnot(0, 1), t(1), cs(1, 2), h(2))
-    circuit = Circuit(3, gates)
-    assert np.max(np.abs(circuit_unitary(circuit) - oracles.dense_circuit_matrix(circuit))) < 1e-10
+# ---------------------------------------------------------------------------
+# phase words
+# ---------------------------------------------------------------------------
+
+def test_phase_word_validation():
+    for n, a, b in [
+        (0, [], []),  # no wires
+        (2, [0], [-1, -1]),  # shape mismatch
+        (2, [[0]], [[-1]]),  # not one-dimensional
+        (2, [2], [-1]),  # T target out of range
+        (2, [-1], [-1]),  # negative target
+        (2, [0], [2]),  # CS target out of range
+        (2, [1], [1]),  # repeated CS pair
+        (2, [0], [-2]),  # b below the T marker
+    ]:
+        with pytest.raises(ValueError):
+            PhaseWord(n, a, b)
+    word = PhaseWord(3, [0, 2], [-1, 1])
+    assert not word.a.flags.writeable and not word.b.flags.writeable
 
 
-def test_circuit_unitary_respects_dense_cap():
-    with pytest.raises(ValueError):
-        circuit_unitary(Circuit(MAX_DENSE_QUBITS + 1, ()))
-
+def test_phase_word_equality():
+    word = PhaseWord(3, [0, 2], [-1, 1])
+    assert word == PhaseWord(3, np.array([0, 2]), np.array([-1, 1]))
+    assert word != PhaseWord(3, [0, 1], [-1, 2])  # CS(2, 1) is stored as drawn
+    assert word != PhaseWord(4, [0, 2], [-1, 1])
+    assert word != "word"
 
 # ---------------------------------------------------------------------------
 # Hadamard layer
@@ -242,8 +235,8 @@ def test_circuit_unitary_respects_dense_cap():
 def test_hadamard_layer_matches_gates_small(rng):
     psi = sample_haar_state(3, rng)
     layered = hadamard_layer_array(psi.amplitudes)
-    gated = run_circuit(Circuit(3, tuple(h(q) for q in range(3))), psi)
-    assert np.max(np.abs(layered - gated.amplitudes)) < 1e-12
+    gated = run_circuit_array(Circuit(3, tuple(dense("H", q) for q in range(3))), psi.amplitudes)
+    assert np.max(np.abs(layered - gated)) < 1e-12
 
 
 def test_hadamard_layer_matches_kron_large(rng):
@@ -350,27 +343,28 @@ def test_haar_unitary_columns_differ(rng):
 # ---------------------------------------------------------------------------
 
 def test_gate_json_round_trip_all_kinds(rng):
-    gates = [
-        h(0), x(1), z(0), s(2), t(1), cnot(0, 2), cz(1, 0), cs(0, 1),
-        diag_gate((0, 1), np.exp(2j * np.pi * rng.random(4))),
-        unitary_gate((1, 2), sample_haar_unitary(2, rng)),
-    ]
+    gates = [dense("H", 0), dense("CNOT", 0, 2), Gate((1, 2), sample_haar_unitary(2, rng)),
+             Gate((2, 0, 1), sample_haar_unitary(3, rng))]
     for gate in gates:
-        back = gate_from_json(json.loads(json.dumps(gate_to_json(gate))))
-        assert back == gate
+        obj = json.loads(json.dumps(gate_to_json(gate)))
+        assert obj["kind"] == "UNITARY"
+        assert gate_from_json(obj) == gate
 
 
 def test_circuit_json_round_trip(rng):
-    circuit = Circuit(3, (h(0), cnot(0, 1), unitary_gate((1, 2), sample_haar_unitary(2, rng))))
+    gates = (dense("H", 0), dense("CNOT", 0, 1), Gate((1, 2), sample_haar_unitary(2, rng)))
+    circuit = Circuit(3, gates)
     back = circuit_from_json(json.loads(json.dumps(circuit_to_json(circuit))))
     assert back == circuit
 
 
-def test_fixed_gate_table_matches_textbook():
-    for kind, matrix in FIXED_GATES.items():
-        assert np.max(np.abs(matrix - oracles._FIXED[kind])) < 1e-12
-
-
-def test_diag_from_function():
-    gate = diag_from_function((0, 1), lambda i: -1.0 if i == 3 else 1.0)
-    assert gate == cz(0, 1) or np.array_equal(gate.payload, np.array([1, 1, 1, -1], dtype=complex))
+def test_word_json_keeps_the_gate_dict_layout():
+    word = PhaseWord(3, [1, 2, 0], [-1, 0, 2])
+    obj = word_to_json(word)
+    assert obj == {"num_qubits": 3, "gates": [
+        {"kind": "T", "targets": [1]},
+        {"kind": "CS", "targets": [2, 0]},
+        {"kind": "CS", "targets": [0, 2]},
+    ]}
+    assert word_from_json(json.loads(json.dumps(obj))) == word
+    assert word_from_json({"num_qubits": 1, "gates": []}) == PhaseWord(1, [], [])

@@ -303,3 +303,56 @@ def test_ega_check_report(capsys):
     assert report["properties"]["regular"] is True
     assert report["orbit_uniformity"]["p_value"] > 0.001
     assert report["action"]["p"] == 23
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer still binds every name it wraps
+# ---------------------------------------------------------------------------
+
+_TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = sys.argv[1:3]
+import qgalab.cli
+import tracer as tracing
+
+CALLS = [
+    ["prfsg-eval", "--candidate", "iqp-circuit", "--lambda", "3", "--ell", "2"],
+    ["game", "--id", "up", "--lambda", "3", "--trials", "3"],
+    ["ske-roundtrip", "--lambda", "2", "--trials", "2"],
+]
+
+
+def run_all(call):
+    outs = []
+    for argv in CALLS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = call(argv)
+        outs.append([rc, out.getvalue()])
+    return outs
+
+
+plain = run_all(qgalab.cli.main)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+traced = run_all(lambda argv: tracer.call("cli.main", qgalab.cli.main, argv))
+print(json.dumps({"same": plain == traced, "rcs": [rc for rc, _ in traced],
+                  "layers": tracing.layer_metrics(tracer)}))
+"""
+
+
+def test_benchmark_tracer_installs_and_keeps_report_bytes():
+    # a fresh interpreter: install() rebinds qgalab's module globals for good
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(root / "perfbench"), str(root / "src")],
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rcs"] == [0, 0, 0]
+    assert result["same"]
+    layers = result["layers"]
+    for name in ("qga.sample_g.calls", "circuits.hadamard_layer_array.calls",
+                 "states.StateVector.constructions", "rng.stream.calls"):
+        assert layers[name] > 0, name

@@ -39,42 +39,13 @@ def test_validation():
 
 def test_empty_polynomial_is_zero():
     poly = SparsePolyF2(2, frozenset(), 1, 1)
-    assert all(poly.evaluate(a) == 0 for a in range(4))
     assert np.array_equal(poly.sign_vector(), np.ones(4))
-
-
-def test_evaluate_mask_semantics():
-    # f = x1 x2 + x3 on three variables: masks 0b011 and 0b100
-    poly = SparsePolyF2(3, frozenset({0b011, 0b100}), 2, 2)
-    assert poly.evaluate(0b000) == 0
-    assert poly.evaluate(0b011) == 1
-    assert poly.evaluate(0b100) == 1
-    assert poly.evaluate(0b111) == 0  # both monomials fire, xor cancels
-    with pytest.raises(ValueError):
-        poly.evaluate(8)
-    with pytest.raises(ValueError):
-        poly.evaluate(-1)
 
 
 def test_vanishes_at_zero_always(rng):
     for _ in range(20):
         poly = sample_sparse_poly(5, 3, 6, rng)
-        assert poly.evaluate(0) == 0
         assert poly.sign_vector()[0] == 1.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_evaluate_matches_reference(data):
-    num_vars = data.draw(st.integers(min_value=1, max_value=6))
-    masks = data.draw(
-        st.sets(st.integers(min_value=1, max_value=2**num_vars - 1), max_size=8)
-    )
-    degree = max((m.bit_count() for m in masks), default=1)
-    poly = SparsePolyF2(num_vars, frozenset(masks), degree, max(len(masks), 1))
-    for assignment in range(2**num_vars):
-        bits = [(assignment >> j) & 1 for j in range(num_vars)]
-        assert poly.evaluate(assignment) == oracles.poly_eval_reference(poly, bits)
 
 
 def test_sign_vector_matches_per_index_evaluation(rng):
@@ -120,8 +91,11 @@ def test_sign_vector_matches_dense_reference(data):
     # x1 x2 + x2 x3 cancels wherever both fire, the all-ones index included;
     # x1 x2 alone fires at indices 0b110*, x2 x3 alone at 0b011*
     (SparsePolyF2(4, frozenset({0b0011, 0b0110}), 2, 2), {0b1100, 0b1101, 0b0110, 0b0111}),
+    # f = x1 x2 + x3 (masks 0b011, 0b100); variable x_{j+1} is index bit 2 - j, so
+    # x3 alone fires at index 0b001 and x1 x2 alone at 0b110; both cancel at 0b111
+    (SparsePolyF2(3, frozenset({0b011, 0b100}), 2, 2), {0b001, 0b011, 0b101, 0b110}),
 ], ids=["empty", "single-top-monomial", "all-monomials-6-6", "all-monomials-9-9",
-        "cancel-at-all-ones"])
+        "cancel-at-all-ones", "x1x2-plus-x3"])
 def test_sign_vector_edge_cases(poly, flipped):
     signs = poly.sign_vector()
     assert signs.dtype == np.float64

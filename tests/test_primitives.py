@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qgalab.circuits import Circuit, unitary_gate
+from qgalab.circuits import Circuit, Gate
 from qgalab.games import _complete_basis
 from qgalab.primitives import (
     ActionKey,
@@ -46,7 +46,7 @@ from qgalab.states import orthogonal_state, sample_haar_state
 def _unitary_family_element(first_column: np.ndarray) -> QgaDescription:
     """A single-unitary description sending |0...0> to the given column."""
     lam = int(np.log2(first_column.size))
-    gate = unitary_gate(tuple(range(lam)), _complete_basis(first_column))
+    gate = Gate(tuple(range(lam)), _complete_basis(first_column))
     return QgaDescription(VARIANT_GENERIC, lam, Circuit(lam, (gate,)))
 
 

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qgalab import circuits as qc
+from qgalab import prfsg
 from qgalab import qga as qga_module
-from qgalab.circuits import Circuit, cs, h, t
+from qgalab.circuits import Circuit, Gate, PhaseWord
 from qgalab.games import run_up_game, up_haar
-from qgalab.gf2poly import SparsePolyF2
+from qgalab.gf2poly import SparsePolyF2, subset_sums
 from qgalab.qga import (
     VARIANT_GENERIC,
     VARIANT_IQP_CIRCUIT,
@@ -78,7 +79,11 @@ def test_description_validation(rng):
     with pytest.raises(ValueError):
         QgaDescription(VARIANT_IQP_POLY, 3, poly)  # poly on 2 vars, 3 qubits
     with pytest.raises(ValueError):
-        QgaDescription(VARIANT_IQP_CIRCUIT, 2, Circuit(2, (h(0),)))  # only T and CS
+        QgaDescription(VARIANT_IQP_CIRCUIT, 2, Circuit(2, ()))  # a word, not a circuit
+    with pytest.raises(ValueError):
+        QgaDescription(VARIANT_GENERIC, 2, PhaseWord(2, [], []))
+    with pytest.raises(ValueError):
+        QgaDescription(VARIANT_IQP_CIRCUIT, 3, PhaseWord(2, [0], [1]))
 
 
 def test_description_equality(rng):
@@ -111,46 +116,64 @@ def test_apply_matches_dense_oracle(rng):
         assert np.max(np.abs(fast - dense @ psi.amplitudes)) < 1e-10
 
 
+_WIDTHS = st.integers(min_value=1, max_value=8)
+
+
 @st.composite
-def _iqp_words(draw):
-    """A {T, CS} word on 1..8 qubits; a small wire pool makes repeats common."""
-    n = draw(st.integers(min_value=1, max_value=8))
+def _iqp_words(draw, widths=_WIDTHS):
+    """A {T, CS} PhaseWord on 1..8 qubits; a small wire pool makes repeats common."""
+    n = draw(widths)
     wire = st.integers(min_value=0, max_value=n - 1)
-    gate = wire.map(t)
+    letter = wire.map(lambda a: (a, -1))
     if n >= 2:
         pair = st.lists(wire, min_size=2, max_size=2, unique=True)
-        gate = st.one_of(gate, pair.map(lambda ab: cs(*ab)))
-    return Circuit(n, tuple(draw(st.lists(gate, max_size=24))))
+        letter = st.one_of(letter, pair.map(tuple))
+    letters = draw(st.lists(letter, max_size=24))
+    return PhaseWord(n, [a for a, _ in letters], [b for _, b in letters])
 
 
 @settings(max_examples=40, deadline=None)
 @given(_iqp_words())
 def test_circuit_diagonal_matches_dense_word(word):
     desc = QgaDescription(VARIANT_IQP_CIRCUIT, word.num_qubits, word)
-    dense = np.diag(oracles.dense_circuit_matrix(word))
+    dense = np.diag(oracles.dense_circuit_matrix(word.num_qubits, oracles.word_letters(word)))
     assert np.max(np.abs(desc.diagonal() - dense)) < 1e-12
 
 
-def _circuit_diagonal(n, gates):
-    return QgaDescription(VARIANT_IQP_CIRCUIT, n, Circuit(n, tuple(gates))).diagonal()
+@settings(max_examples=40, deadline=None)
+@given(_WIDTHS.flatmap(lambda n: st.lists(_iqp_words(st.just(n)), min_size=1, max_size=4)))
+def test_stacked_diagonals_match_the_per_letter_weight_loop(words):
+    # np.add.at sums weights mod 256, the reference loop mod 8: 8 | 256, so the
+    # omega table reads the same entries and the bytes agree
+    descs = [QgaDescription(VARIANT_IQP_CIRCUIT, w.num_qubits, w) for w in words]
+    expected = qga_module._OMEGA_POWERS.take(subset_sums(oracles.phase_weights_reference(descs)))
+    assert stacked_diagonals(descs).tobytes() == expected.tobytes()
+
+
+def _circuit_diagonal(n, a, b):
+    return QgaDescription(VARIANT_IQP_CIRCUIT, n, PhaseWord(n, a, b)).diagonal()
 
 
 def test_circuit_diagonal_exact_cases():
-    empty = _circuit_diagonal(3, [])
+    empty = _circuit_diagonal(3, [], [])
     assert empty.dtype == np.complex128
     assert empty.tobytes() == np.full(8, 1 + 0j).tobytes()
-    assert _circuit_diagonal(3, [t(1)] * 8).tobytes() == empty.tobytes()  # T^8 = I
-    assert _circuit_diagonal(3, [cs(0, 2)] * 4).tobytes() == empty.tobytes()  # CS^4 = I
-    assert _circuit_diagonal(3, [cs(0, 2)]).tobytes() == _circuit_diagonal(3, [cs(2, 0)]).tobytes()
+    assert _circuit_diagonal(3, [1] * 8, [-1] * 8).tobytes() == empty.tobytes()  # T^8 = I
+    assert _circuit_diagonal(3, [0] * 4, [2] * 4).tobytes() == empty.tobytes()  # CS^4 = I
+    assert _circuit_diagonal(3, [0], [2]).tobytes() == _circuit_diagonal(3, [2], [0]).tobytes()
 
 
 def test_circuit_diagonal_long_word_wraps_silently():
     # 500 T and 500 CS: the raw weights (500 and 1,000) pass 255
-    word = Circuit(2, (t(0), cs(0, 1)) * 500)
+    word = PhaseWord(2, [0, 0] * 500, [-1, 1] * 500)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         diag = QgaDescription(VARIANT_IQP_CIRCUIT, 2, word).diagonal()
-    assert np.max(np.abs(diag - np.diag(oracles.dense_circuit_matrix(word)))) < 1e-12
+    dense = oracles.dense_circuit_matrix(2, oracles.word_letters(word))
+    assert np.max(np.abs(diag - np.diag(dense))) < 1e-12
+    reference = qga_module._OMEGA_POWERS.take(subset_sums(
+        oracles.phase_weights_reference([QgaDescription(VARIANT_IQP_CIRCUIT, 2, word)])))
+    assert diag.tobytes() == reference[0].tobytes()
 
 
 def test_diagonal_is_cached_and_read_only(rng):
@@ -321,11 +344,26 @@ def test_candidate1_brickwork_layout(rng):
 
 def test_candidate2_gate_word(rng):
     desc = sample_g_candidate2(3, 20, rng)
-    assert len(desc.body.gates) == 20
-    assert all(g.kind in ("T", "CS") for g in desc.body.gates)
-    assert sample_g_candidate2(1, 6, rng).body.gates[0].kind == "T"
+    assert isinstance(desc.body, PhaseWord)
+    assert desc.body.a.shape == desc.body.b.shape == (20,)
+    assert np.array_equal(sample_g_candidate2(1, 6, rng).body.b, [-1] * 6)  # T only
     with pytest.raises(ValueError):
         sample_g_candidate2(3, -1, rng)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 5])
+def test_candidate2_draws_letter_by_letter(num_qubits):
+    # the word is the per-letter loop's, and the generator is left in the same state
+    rng, ref_rng = stream(num_qubits, "word"), stream(num_qubits, "word")
+    word = sample_g_candidate2(num_qubits, 40, rng).body
+    letters = []
+    for _ in range(40):
+        if num_qubits >= 2 and ref_rng.random() < 0.5:
+            letters.append(tuple(int(q) for q in ref_rng.choice(num_qubits, size=2, replace=False)))
+        else:
+            letters.append((int(ref_rng.integers(num_qubits)), -1))
+    assert list(zip(word.a.tolist(), word.b.tolist())) == letters
+    assert rng.random() == ref_rng.random()
 
 
 def test_default_parameters():
@@ -348,7 +386,7 @@ def test_haar_unitary_family(rng):
     desc = family.sample_g(rng)
     assert desc.variant == VARIANT_GENERIC
     assert len(desc.body.gates) == 1
-    assert desc.body.gates[0].kind == "UNITARY"
+    assert isinstance(desc.body.gates[0], Gate)
     assert desc.body.gates[0].targets == (0, 1)
 
 
@@ -378,3 +416,39 @@ def test_state_desc_json_round_trip():
     desc = StateDescription(4, 9)
     back = state_desc_from_json(json.loads(json.dumps(state_desc_to_json(desc))))
     assert back == desc
+
+
+def _iqp_key_json(letters):
+    # a valid first letter, so each case fails on its second
+    gates = [{"kind": "T", "targets": [0]}] + letters
+    return {"variant": VARIANT_IQP_CIRCUIT, "num_qubits": 3, "body": {"num_qubits": 3, "gates": gates}}
+
+
+@pytest.mark.parametrize("obj", [
+    _iqp_key_json([{"kind": "H", "targets": [0]}]),
+    _iqp_key_json([{"kind": "CS", "targets": [0, 1, 2]}]),
+    _iqp_key_json([{"kind": "CS", "targets": [1, 1]}]),
+    _iqp_key_json([{"kind": "T", "targets": [3]}]),
+    _iqp_key_json([{"kind": "CS", "targets": [0, 3]}]),
+    _iqp_key_json([{"kind": "CS", "targets": [0, -1]}]),
+    _iqp_key_json([{"kind": "T", "targets": [0, 1]}]),
+    _iqp_key_json([{"kind": "T", "targets": []}]),
+    {"variant": VARIANT_GENERIC, "num_qubits": 2,
+     "body": {"num_qubits": 2, "gates": [{"kind": "T", "targets": [0]}]}},
+    {"variant": "nope", "num_qubits": 2, "body": {"num_qubits": 2, "gates": []}},
+], ids=["iqp-H", "iqp-three-targets", "iqp-cs-repeated", "iqp-t-out-of-range",
+        "iqp-cs-out-of-range", "iqp-cs-negative", "iqp-t-two-targets", "iqp-t-no-target",
+        "generic-T", "unknown-variant"])
+def test_malformed_descriptions_raise_value_error(obj):
+    with pytest.raises(ValueError):
+        qga_from_json(json.loads(json.dumps(obj)))
+
+
+def test_prfsg_key_json_round_trip():
+    for family in (iqp_circuit_qga(3), iqp_poly_qga(3), random_circuit_qga(3, 2)):
+        key = prfsg.keygen(family, 2, stream(8, "key"))
+        text = json.dumps(prfsg.key_to_json(key), sort_keys=True)
+        back = prfsg.key_from_json(json.loads(text))
+        assert back.group_elements == key.group_elements
+        assert back.base_state == key.base_state
+        assert json.dumps(prfsg.key_to_json(back), sort_keys=True) == text
