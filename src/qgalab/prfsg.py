@@ -119,9 +119,13 @@ def key_to_json(key: PrfsgKey) -> dict:
 
 
 def key_from_json(obj: dict) -> PrfsgKey:
-    elements = tuple(qga_from_json(g) for g in obj["group_elements"])
-    key = PrfsgKey(elements, state_desc_from_json(obj["base_state"]))
-    if key.num_qubits != int(obj["lambda"]) or key.input_length != int(obj["ell"]):
+    try:
+        elements = tuple(qga_from_json(g) for g in obj["group_elements"])
+        key = PrfsgKey(elements, state_desc_from_json(obj["base_state"]))
+        header = int(obj["lambda"]), int(obj["ell"])
+    except KeyError as exc:
+        raise ValueError(f"key description lacks the field {exc}") from None
+    if header != (key.num_qubits, key.input_length):
         raise ValueError("key header does not match its group elements")
     return key
 

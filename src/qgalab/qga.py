@@ -168,7 +168,9 @@ def apply_qga_start(desc: QgaDescription, start: StateDescription) -> StateVecto
         return apply_qga(desc, start.expand())
     with _FIRST_LAYER_LOCK:
         first = _first_layer(start)
-    return StateVector(desc.num_qubits, qc.hadamard_layer_array(first * desc.diagonal()))
+    amps = qc.hadamard_layer_array(first * desc.diagonal())
+    amps.flags.writeable = False
+    return StateVector(desc.num_qubits, amps)
 
 
 def sample_s(num_qubits: int) -> StateDescription:
@@ -296,16 +298,20 @@ def qga_to_json(desc: QgaDescription) -> dict:
 
 
 def qga_from_json(obj: dict) -> QgaDescription:
-    variant = obj["variant"]
-    n = int(obj["num_qubits"])
-    if variant == VARIANT_IQP_POLY:
-        body: Circuit | PhaseWord | SparsePolyF2 = poly_from_json(obj["body"], n)
-    elif variant == VARIANT_IQP_CIRCUIT:
-        body = qc.word_from_json(obj["body"])
-    elif variant == VARIANT_GENERIC:
-        body = qc.circuit_from_json(obj["body"])
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    """Parse a group element; a missing field raises ValueError, as a bad one does."""
+    try:
+        variant = obj["variant"]
+        n = int(obj["num_qubits"])
+        if variant == VARIANT_IQP_POLY:
+            body: Circuit | PhaseWord | SparsePolyF2 = poly_from_json(obj["body"], n)
+        elif variant == VARIANT_IQP_CIRCUIT:
+            body = qc.word_from_json(obj["body"])
+        elif variant == VARIANT_GENERIC:
+            body = qc.circuit_from_json(obj["body"])
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+    except KeyError as exc:
+        raise ValueError(f"group element description lacks the field {exc}") from None
     return QgaDescription(variant, n, body)
 
 

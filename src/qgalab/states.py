@@ -4,7 +4,8 @@ Conventions:
   * Qubit 0 is the most significant bit of the amplitude index, so the basis
     label |q0 q1 ... q_{n-1}> lives at index sum(q_i << (n - 1 - i)).
   * States are always unit vectors (checked to 1e-10 at construction) and the
-    amplitude buffer is read-only.
+    amplitude buffer is read-only: a buffer handed over read-only is kept, any
+    other is copied.
   * Equality of states is only ever judged through overlaps; global phase is
     never stripped or compared.
 
@@ -43,8 +44,9 @@ class StateVector:
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= ATOL:  # also rejects NaN amplitudes
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        amps = amps.copy()
-        amps.flags.writeable = False
+        if amps.flags.writeable:
+            amps = amps.copy()
+            amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -84,6 +86,7 @@ def tensor(*states: StateVector) -> StateVector:
     for s in states[1:]:
         amps = np.kron(amps, s.amplitudes)
         n += s.num_qubits
+    amps.flags.writeable = False
     return StateVector(n, amps)
 
 
@@ -163,12 +166,30 @@ def _register_axes(joint: StateVector, register_index: int, register_width: int)
     return left, mid, right
 
 
-def project_register(
-    joint: StateVector, register_index: int, register_width: int, target: StateVector
-) -> tuple[float, StateVector | None, StateVector | None]:
-    """Project one register onto |target><target|, returning both branches.
+def _branch(num_qubits: int, cube: np.ndarray, coeff: np.ndarray, target: StateVector,
+            hit: bool) -> StateVector:
+    """The hit branch coeff (x) t, or the miss branch cube - coeff (x) t, normalized
+    by its own norm (keeps float residue out of the collapsed state) in one fresh
+    buffer handed over read-only."""
+    out = np.empty(cube.size, dtype=np.complex128)
+    view = out.reshape(cube.shape)
+    np.multiply(coeff[:, None, :], target.amplitudes[None, :, None], out=view)
+    if not hit:
+        np.subtract(cube, view, out=view)
+    out /= np.linalg.norm(out)
+    out.flags.writeable = False
+    return StateVector(num_qubits, out)
 
-    Returns (p_hit, hit_state, miss_state); a branch of probability ~0 is None.
+
+def project_register(
+    joint: StateVector, register_index: int, register_width: int, target: StateVector,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, StateVector | None, StateVector | None]:
+    """Project one register onto |target><target|: (p_hit, hit_state, miss_state).
+
+    Without ``rng`` both branches are returned; a branch of probability ~0 is None.
+    With ``rng`` the projector is measured: one ``rng.random()`` is drawn against
+    ``snap_prob(p_hit)``, only the drawn branch is built and the other is None.
     """
     if target.num_qubits != register_width:
         raise ValueError("target width does not match register width")
@@ -180,19 +201,17 @@ def project_register(
     p_hit = min(max(p_hit, 0.0), 1.0)
 
     # branches below ATOL can never be selected (snap_prob snaps them away),
-    # so they are not constructed; each branch is normalized by its own norm
-    # to keep float residue out of the collapsed state
-    hit_state = None
-    if p_hit > ATOL:
-        hit = (coeff[:, None, :] * target.amplitudes[None, :, None]).reshape(-1)
-        hit_state = StateVector(joint.num_qubits, hit / np.linalg.norm(hit))
-
-    miss_state = None
-    if 1.0 - p_hit > ATOL:
-        miss = (cube - coeff[:, None, :] * target.amplitudes[None, :, None]).reshape(-1)
-        miss_state = StateVector(joint.num_qubits, miss / np.linalg.norm(miss))
-
-    return p_hit, hit_state, miss_state
+    # so they are not constructed
+    n = joint.num_qubits
+    if rng is None:
+        hit_state = _branch(n, cube, coeff, target, True) if p_hit > ATOL else None
+        miss_state = _branch(n, cube, coeff, target, False) if 1.0 - p_hit > ATOL else None
+        return p_hit, hit_state, miss_state
+    hit = bool(rng.random() < snap_prob(p_hit))
+    if (p_hit if hit else 1.0 - p_hit) <= ATOL:
+        raise ImpossibleBranchError(f"sampled a branch of probability ~0 (p_hit={p_hit})")
+    state = _branch(n, cube, coeff, target, hit)
+    return (p_hit, state, None) if hit else (p_hit, None, state)
 
 
 def measure_register_projector(
@@ -203,12 +222,10 @@ def measure_register_projector(
     rng: np.random.Generator,
 ) -> tuple[bool, StateVector]:
     """Measure {|t><t|, 1 - |t><t|} on one register and collapse."""
-    p_hit, hit_state, miss_state = project_register(joint, register_index, register_width, target)
-    hit = bool(rng.random() < snap_prob(p_hit))
-    state = hit_state if hit else miss_state
-    if state is None:
-        raise ImpossibleBranchError(f"sampled a branch of probability ~0 (p_hit={p_hit})")
-    return hit, state
+    _, hit_state, miss_state = project_register(joint, register_index, register_width, target, rng)
+    if hit_state is not None:
+        return True, hit_state
+    return False, miss_state
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +236,9 @@ def sample_haar_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state: normalized vector of i.i.d. complex Gaussians."""
     dim = 2**num_qubits
     z = rng.standard_normal(2 * dim).view(np.complex128)
-    return StateVector(num_qubits, z / math.sqrt(np.vdot(z, z).real))
+    amps = z / math.sqrt(np.vdot(z, z).real)
+    amps.flags.writeable = False
+    return StateVector(num_qubits, amps)
 
 
 def orthogonal_state(state: StateVector) -> StateVector:

@@ -255,6 +255,23 @@ def prfsg_eval_report_reference(config: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
+# register projection as out-of-place expressions
+# ---------------------------------------------------------------------------
+
+def project_branch_reference(joint: StateVector, register_index: int, register_width: int,
+                             target: StateVector, hit: bool) -> np.ndarray:
+    """The hit branch coeff (x) t or the miss branch cube - coeff (x) t, each a
+    fresh array divided by its own norm: the bytes a collapsed state must have."""
+    count = joint.num_qubits // register_width
+    cube = joint.amplitudes.reshape(2 ** (register_index * register_width), 2**register_width,
+                                    2 ** ((count - register_index - 1) * register_width))
+    coeff = np.tensordot(np.conj(target.amplitudes), cube, axes=([0], [1]))
+    product = coeff[:, None, :] * target.amplitudes[None, :, None]
+    branch = (product if hit else cube - product).reshape(-1)
+    return branch / np.linalg.norm(branch)
+
+
+# ---------------------------------------------------------------------------
 # SWAP test as an explicit ancilla circuit on the engine
 # ---------------------------------------------------------------------------
 

@@ -126,6 +126,20 @@ def test_key_json_round_trip():
         key_from_json(obj)
 
 
+@pytest.mark.parametrize("path", [("lambda",), ("base_state",), ("group_elements",),
+                                  ("group_elements", 1, "variant"),
+                                  ("group_elements", 0, "body", "terms")],
+                         ids=["lambda", "base-state", "group-elements", "element-variant", "poly-terms"])
+def test_key_from_json_rejects_missing_fields(path):
+    obj = json.loads(json.dumps(key_to_json(_key(lam=3, ell=2, seed=11))))
+    holder = obj
+    for step in path[:-1]:
+        holder = holder[step]
+    del holder[path[-1]]
+    with pytest.raises(ValueError):
+        key_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------

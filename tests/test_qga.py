@@ -436,9 +436,18 @@ def _iqp_key_json(letters):
     {"variant": VARIANT_GENERIC, "num_qubits": 2,
      "body": {"num_qubits": 2, "gates": [{"kind": "T", "targets": [0]}]}},
     {"variant": "nope", "num_qubits": 2, "body": {"num_qubits": 2, "gates": []}},
+    # missing fields
+    {"variant": VARIANT_IQP_CIRCUIT, "num_qubits": 3, "body": {"num_qubits": 3}},
+    {"variant": VARIANT_GENERIC, "num_qubits": 2, "body": {"num_qubits": 2}},
+    _iqp_key_json([{"targets": [1]}]),
+    {"variant": VARIANT_GENERIC, "num_qubits": 1,
+     "body": {"num_qubits": 1, "gates": [{"kind": "UNITARY", "targets": [0]}]}},
+    {"num_qubits": 3, "body": {"num_qubits": 3, "gates": []}},
+    {"variant": VARIANT_IQP_CIRCUIT, "body": {"num_qubits": 3, "gates": []}},
 ], ids=["iqp-H", "iqp-three-targets", "iqp-cs-repeated", "iqp-t-out-of-range",
         "iqp-cs-out-of-range", "iqp-cs-negative", "iqp-t-two-targets", "iqp-t-no-target",
-        "generic-T", "unknown-variant"])
+        "generic-T", "unknown-variant", "iqp-body-no-gates", "generic-body-no-gates",
+        "iqp-letter-no-kind", "generic-gate-no-payload", "no-variant", "no-num-qubits"])
 def test_malformed_descriptions_raise_value_error(obj):
     with pytest.raises(ValueError):
         qga_from_json(json.loads(json.dumps(obj)))

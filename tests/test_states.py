@@ -79,6 +79,18 @@ def test_constructor_copies_input_buffer():
     assert state.amplitudes[0] == 1.0
 
 
+def test_constructor_keeps_read_only_input_buffer():
+    amps = np.array([INV_SQRT2, INV_SQRT2], dtype=np.complex128)
+    amps.flags.writeable = False
+    assert np.shares_memory(StateVector(1, amps).amplitudes, amps)
+    # a buffer handed over read-only is still checked
+    for bad in ([1.0, 1.0], [1.0, np.nan]):
+        frozen = np.array(bad, dtype=np.complex128)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError):
+            StateVector(1, frozen)
+
+
 def test_from_amplitudes_infers_size():
     state = from_amplitudes([0.0, 1.0, 0.0, 0.0])
     assert state.num_qubits == 2
@@ -260,6 +272,35 @@ def test_measure_register_projector_certain_branches(rng):
     assert projection_prob(joint, post) == pytest.approx(1.0)
     hit, post = measure_register_projector(joint, 0, 2, orthogonal_state(a), stream(1, "m"))
     assert hit is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, 8 // w))),
+       st.sampled_from(["entangled", "product-hit", "product-miss"]),
+       st.integers(0, 2**32 - 1))
+def test_measured_projection_builds_the_drawn_branch_of_the_two_branch_call(shape, kind, seed):
+    width, count = shape
+    make = stream(seed, "states")
+    registers = [sample_haar_state(width, make) for _ in range(count)]
+    joint = sample_haar_state(width * count, make) if kind == "entangled" else tensor(*registers)
+    for reg in range(count):
+        target = sample_haar_state(width, make) if kind == "entangled" else registers[reg]
+        if kind == "product-miss":
+            target = orthogonal_state(target)
+        p_ref, hit_ref, miss_ref = project_register(joint, reg, width, target)
+        rng, replay = stream(seed, "measure", reg), stream(seed, "measure", reg)
+        p_hit, hit_state, miss_state = project_register(joint, reg, width, target, rng)
+        assert p_hit == p_ref
+        drawn = replay.random() < snap_prob(p_ref)
+        assert rng.bit_generator.state == replay.bit_generator.state  # one draw, no more
+        state, ref, other = (hit_state, hit_ref, miss_state) if drawn else (miss_state, miss_ref, hit_state)
+        assert other is None
+        assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
+        expected = oracles.project_branch_reference(joint, reg, width, target, drawn)
+        assert state.amplitudes.tobytes() == expected.tobytes()
+        assert not state.amplitudes.flags.writeable
+        hit, post = measure_register_projector(joint, reg, width, target, stream(seed, "measure", reg))
+        assert hit == drawn and post.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
 
 def test_measurement_order_does_not_matter(rng):
