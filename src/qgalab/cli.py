@@ -299,31 +299,16 @@ def _cmd_game(config: dict) -> str:
 
 
 def _cmd_ske_roundtrip(config: dict) -> str:
-    instance = _build_instance(config)
-    trials, seed = config["trials"], config["seed"]
-    t, ell = config["t"], config["ell"]
-
-    zero_ok = 0
-    ones_msg_ok = 0
-    ones_bit_ok = 0
-    for i in range(trials):
-        rng = stream(seed, "ske-roundtrip", i)
-        key = primitives.ske_multi_keygen(instance, t, ell, rng)
-        cts0 = primitives.ske_multi_enc(key, [0] * ell, rng)
-        if primitives.ske_multi_dec(key, cts0, rng) == (0,) * ell:
-            zero_ok += 1
-        cts1 = primitives.ske_multi_enc(key, [1] * ell, rng)
-        dec1 = primitives.ske_multi_dec(key, cts1, rng)
-        ones_bit_ok += sum(dec1)
-        ones_msg_ok += int(dec1 == (1,) * ell)
-
+    trials, seed, ell = config["trials"], config["seed"], config["ell"]
+    rngs = (stream(seed, "ske-roundtrip", i) for i in range(trials))
+    zero_ok, ones = primitives.ske_roundtrip_trials(_build_instance(config), config["t"], ell, rngs)
     report = {
         "command": "ske-roundtrip",
         "config": _public_config(config),
         "seed": seed,
-        "zero_message": _rate_block(zero_ok, trials),
-        "ones_message": _rate_block(ones_msg_ok, trials),
-        "ones_per_bit": _rate_block(ones_bit_ok, trials * ell),
+        "zero_message": _rate_block(int(zero_ok.sum()), trials),
+        "ones_message": _rate_block(int(ones.all(axis=1).sum()), trials),
+        "ones_per_bit": _rate_block(int(ones.sum()), trials * ell),
     }
     return _canonical_json(report)
 

@@ -86,12 +86,14 @@ def sample_sparse_poly(
         raise ValueError(f"degree bound {degree_bound} outside [1, {num_vars}]")
     if term_bound < 1:
         raise ValueError("term bound must be positive")
-    # uniform over nonzero masks of popcount <= d, by rejection on raw masks
+    # uniform over nonzero masks of popcount <= d, by rejection on raw masks (none at d = v)
     terms: set[int] = set()
     needed = term_bound
     while needed > 0:
         batch = rng.integers(1, 2**num_vars, size=2 * needed)
-        accepted = batch[_popcount(batch, num_vars) <= degree_bound][:needed]
+        if degree_bound < num_vars:
+            batch = batch[_popcount(batch, num_vars) <= degree_bound]
+        accepted = batch[:needed]
         terms.update(accepted.tolist())
         needed -= accepted.size
     return SparsePolyF2(num_vars, frozenset(terms), degree_bound, term_bound)

@@ -9,6 +9,8 @@ Monte Carlo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -20,7 +22,9 @@ from .qga import (
     apply_qga_array,
     apply_qga_rows,
     apply_qga_start,
+    phase_weights,
     stacked_diagonals,
+    weight_diagonals,
 )
 from .states import ATOL, StateVector, projection_prob, snap_prob, swap_test_accept_prob_joint, tensor
 
@@ -101,19 +105,18 @@ def money_verify(key: ActionKey, note_state: StateVector, rng: np.random.Generat
 # bit encryption from action-invariance of Haar states, one batch per message
 # ---------------------------------------------------------------------------
 
-_CHUNK_AMPLITUDES = 1 << 16  # rows go through in chunks of at most this many amplitudes
+_CHUNK_AMPLITUDES = 1 << 12  # per chunk of rows, and per block of ske_roundtrip_trials
 
 
-def _chunks(count: int, num_qubits: int) -> list[np.ndarray]:
-    step = max(1, _CHUNK_AMPLITUDES >> num_qubits)
-    return [np.arange(lo, min(lo + step, count)) for lo in range(0, count, step)]
+def _chunks(count: int, width: int) -> list[slice]:
+    step = max(1, _CHUNK_AMPLITUDES // width)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _check_unit_rows(rows: np.ndarray) -> None:
-    """The StateVector norm check, one vectorised test per chunk of rows."""
-    step = max(1, _CHUNK_AMPLITUDES // rows.shape[-1])
-    for lo in range(0, len(rows), step):
-        if np.abs(np.linalg.norm(rows[lo:lo + step], axis=-1) - 1.0).max(initial=0.0) > ATOL:
+    """The StateVector norm check, NaN included, one vectorised test per chunk of rows."""
+    for chunk in _chunks(len(rows), rows.shape[-1]):
+        if not np.abs(np.linalg.norm(rows[chunk], axis=-1) - 1.0).max(initial=0.0) <= ATOL:
             raise ValueError("a row is not normalized within 1e-10")
 
 
@@ -149,56 +152,67 @@ class CiphertextBatch:
         return CiphertextBatch(self.first[rows], self.second[rows])
 
 
-def _key_rows(key: SkeKey1 | SkeKeyMulti) -> tuple[list[QgaDescription], np.ndarray | None]:
-    """The key's elements in ciphertext order and their stacked diagonals (None
-    for generic elements), cached on the key."""
-    if "_rows" not in key.__dict__:
+def _key_elements(key: SkeKey1 | SkeKeyMulti) -> np.ndarray:
+    """The key's elements in ciphertext order as apply_qga_rows takes them, cached."""
+    if "_elements" not in key.__dict__:
         descs = [k.group_desc for k in (key.keys if isinstance(key, SkeKeyMulti) else (key,))]
         generic = descs[0].variant == VARIANT_GENERIC
-        key.__dict__["_rows"] = descs, None if generic else stacked_diagonals(descs)
-    return key.__dict__["_rows"]
+        elements = np.array(descs, dtype=object) if generic else stacked_diagonals(descs)
+        key.__dict__["_elements"] = elements
+    return key.__dict__["_elements"]
 
 
-def _act(key: SkeKey1 | SkeKeyMulti, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """g_i on each row, for the key elements i in ``index``."""
-    descs, diagonals = _key_rows(key)
-    return apply_qga_rows([descs[i] for i in index], rows, None if diagonals is None else diagonals[index])
+def _draw_haar(bits: np.ndarray, num_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw step of encryption: |s> per 0-bit row, |s> then |s'> per 1-bit row,
+    unnormalised, from one standard_normal call (see ske_multi_enc)."""
+    return rng.standard_normal((len(bits) + int(bits.sum()), 2**(num_qubits + 1))).view(np.complex128)
+
+
+def _seal(elements: np.ndarray, bits: np.ndarray, states: np.ndarray) -> CiphertextBatch:
+    """Compute step of encryption: normalise the drawn states in place, deal them
+    out as (first_i, second_i), views where all bits agree, and set second_i =
+    g_i . first_i for every 0-bit row."""
+    for rows in _chunks(len(states), states.shape[1]):
+        states[rows] /= np.linalg.norm(states[rows], axis=1, keepdims=True)
+    if not bits.any():
+        first, second = states, np.empty_like(states)
+    elif bits.all():
+        first, second = states[0::2], states[1::2]
+    else:
+        at = np.cumsum(1 + bits) - 1 - bits  # the draw of each row's |s>
+        first, second = states[at], states[at + bits]  # a 0-bit's second is set below
+    for rows in _chunks(len(bits), states.shape[1]):
+        zeros = rows.start + np.flatnonzero(bits[rows] == 0)
+        if zeros.size:
+            second[zeros] = apply_qga_rows(elements[zeros], first[zeros])
+    first.flags.writeable = second.flags.writeable = False
+    return CiphertextBatch(first, second)
+
+
+def _accept_probs(elements: np.ndarray, cts: CiphertextBatch) -> np.ndarray:
+    """Compute step of decryption: per row, the snapped probability that the
+    SWAP test of (g_i . first_i, second_i) reports "equal"."""
+    if len(cts) != len(elements):
+        raise ValueError("ciphertext count does not match the key")
+    accept = np.empty(len(cts))
+    for rows in _chunks(len(cts), cts.first.shape[1]):
+        moved = apply_qga_rows(elements[rows], cts.first[rows])
+        _check_unit_rows(moved)
+        overlaps = np.abs(np.einsum("ij,ij->i", moved.conj(), cts.second[rows])) ** 2
+        accept[rows] = [snap_prob((1.0 + p) / 2.0) for p in overlaps.tolist()]
+    return accept
 
 
 def _encrypt(key: SkeKey1 | SkeKeyMulti, bits: np.ndarray, rng: np.random.Generator) -> CiphertextBatch:
     """Row i encrypts bits[i] under element i: bit 0 -> (|s>, g|s>), bit 1 ->
     (|s>, |s'>), with fresh Haar |s>, |s'>."""
-    descs = _key_rows(key)[0]
-    lam = descs[0].num_qubits
-    first = np.empty((len(bits), 2**lam), dtype=np.complex128)
-    second = np.empty_like(first)
-    for rows in _chunks(len(bits), lam):
-        chunk = bits[rows]
-        at = np.cumsum(1 + chunk) - 1 - chunk  # the draw of each row's |s>
-        haar = rng.standard_normal((at[-1] + 1 + chunk[-1], 2**(lam + 1))).view(np.complex128)
-        haar /= np.linalg.norm(haar, axis=1, keepdims=True)
-        first[rows] = haar[at]
-        second[rows[chunk == 1]] = haar[at[chunk == 1] + 1]
-        zeros = rows[chunk == 0]
-        if zeros.size:
-            second[zeros] = _act(key, zeros, first[zeros])
-    first.flags.writeable = second.flags.writeable = False
-    return CiphertextBatch(first, second)
+    num_qubits = (key.keys[0] if isinstance(key, SkeKeyMulti) else key).group_desc.num_qubits
+    return _seal(_key_elements(key), bits, _draw_haar(bits, num_qubits, rng))
 
 
-def _accept_probs(key: SkeKey1 | SkeKeyMulti, cts: CiphertextBatch) -> np.ndarray:
-    """Per row, the snapped probability that the SWAP test of (g_i . first_i,
-    second_i) reports "equal"."""
-    descs = _key_rows(key)[0]
-    if cts.first.shape != (len(descs), 2**descs[0].num_qubits):
-        raise ValueError("ciphertext count does not match the key")
-    accept = np.empty(len(cts))
-    for rows in _chunks(len(cts), descs[0].num_qubits):
-        moved = _act(key, rows, cts.first[rows])
-        _check_unit_rows(moved)
-        overlaps = np.abs(np.einsum("ij,ij->i", moved.conj(), cts.second[rows])) ** 2
-        accept[rows] = [snap_prob((1.0 + p) / 2.0) for p in overlaps.tolist()]
-    return accept
+def _decode(accept: np.ndarray, shots: np.ndarray, repetitions: int) -> np.ndarray:
+    """Per block of ``repetitions`` rows, 0 iff every SWAP-test shot says "equal"."""
+    return (shots >= accept).reshape(-1, repetitions).any(axis=1)
 
 
 def ske1_keygen(qga: QgaInstance, rng: np.random.Generator) -> SkeKey1:
@@ -214,12 +228,12 @@ def ske1_enc(key: SkeKey1, bit: int, rng: np.random.Generator) -> CiphertextBatc
 
 def ske1_dec_zero_prob(key: SkeKey1, ct: CiphertextBatch) -> float:
     """Probability that decryption outputs 0: SWAP test of (g . first, second)."""
-    return float(_accept_probs(key, ct)[0])
+    return float(_accept_probs(_key_elements(key), ct)[0])
 
 
 def ske1_dec(key: SkeKey1, ct: CiphertextBatch, rng: np.random.Generator) -> int:
     """Apply g to the first half and SWAP-test; "equal" decodes to 0."""
-    accept = _accept_probs(key, ct)[0]
+    accept = _accept_probs(_key_elements(key), ct)[0]
     return int(rng.random() >= accept)
 
 
@@ -252,7 +266,7 @@ def ske_multi_enc(key: SkeKeyMulti, message, rng: np.random.Generator) -> Cipher
     Draw order: every Haar state in ciphertext order (row i * repetitions + j is
     bit i under key j of its block), |s> for a 0-bit row and |s> then |s'> for a
     1-bit row, 2^(lambda+1) standard normals each, taken by one standard_normal
-    call per chunk of rows: the stream of one sample_haar_state call per state.
+    call: the stream of one sample_haar_state call per state.
     """
     bits = [int(b) for b in message]
     if len(bits) != key.message_length or any(b not in (0, 1) for b in bits):
@@ -268,6 +282,33 @@ def ske_multi_dec(key: SkeKeyMulti, cts: CiphertextBatch,
     SWAP-test shots, in ciphertext order, after every probability is computed:
     the stream of one rng.random() per sub-decryption.
     """
-    accept = _accept_probs(key, cts)
-    rejects = (rng.random(len(cts)) >= accept).reshape(key.message_length, key.repetitions)
-    return tuple(int(bit) for bit in rejects.any(axis=1))
+    accept = _accept_probs(_key_elements(key), cts)
+    return tuple(int(bit) for bit in _decode(accept, rng.random(len(cts)), key.repetitions))
+
+
+def ske_roundtrip_trials(qga: QgaInstance, repetitions: int, message_length: int,
+                         rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Per generator, ske_multi_keygen, then ske_multi_enc and ske_multi_dec of the
+    all-zero and the all-one message, with their draws in their order: whether the
+    zero message decoded, and the one message's bits. Trials run in blocks of at
+    most _CHUNK_AMPLITUDES amplitudes per message: each trial keeps only its key's
+    weight rows (generic: descriptions), and once all have drawn, each pass runs once."""
+    rows, lam = repetitions * message_length, qga.num_qubits
+    zeros, ones = np.zeros(rows, dtype=np.int64), np.ones(rows, dtype=np.int64)
+    rngs, zero_ok, one_bits = iter(rngs), [], []
+    while block := list(islice(rngs, max(1, _CHUNK_AMPLITUDES // (rows << lam)))):
+        keys, draws = [], []
+        for rng in block:
+            descs = [qga.sample_g(rng) for _ in range(rows)]
+            generic = descs[0].variant == VARIANT_GENERIC
+            keys.append(np.array(descs, dtype=object) if generic else phase_weights(descs))
+            draws.append((_draw_haar(zeros, lam, rng), rng.random(rows),
+                          _draw_haar(ones, lam, rng), rng.random(rows)))
+        elements = np.concatenate(keys)
+        elements = elements if generic else weight_diagonals(descs[0].variant, elements)
+        states0, shots0, states1, shots1 = map(np.concatenate, zip(*draws))
+        cts0 = _seal(elements, np.tile(zeros, len(block)), states0)
+        zero_ok.append(~_decode(_accept_probs(elements, cts0), shots0, rows))
+        cts1 = _seal(elements, np.tile(ones, len(block)), states1)
+        one_bits.append(_decode(_accept_probs(elements, cts1), shots1, repetitions))
+    return np.concatenate(zero_ok), np.concatenate(one_bits).reshape(-1, message_length)

@@ -109,26 +109,37 @@ class QgaDescription:
 
 
 def stacked_diagonals(descs) -> np.ndarray:
-    """D of each IQP element, one read-only (len(descs), 2^n) array from one
-    subset_sums over the batch: (-1)^f for iqp-sparse-poly; omega^k(x), omega =
-    e^{i pi/4}, for iqp-diagonal-circuit, where k(x) sums the weights of the
-    monomials contained in x: each T on q weighs 1 at monomial {q}, each CS on
-    (a, b) weighs 2 at {a, b}, summed mod 256 in the uint8 table (8 | 256, so
-    omega^k is unchanged). All elements share one variant and qubit count."""
+    """D of each IQP element, one read-only (len(descs), 2^n) array."""
+    return weight_diagonals(descs[0].variant, phase_weights(descs))
+
+
+def phase_weights(descs) -> np.ndarray:
+    """The uint8 monomial weights of each IQP element, one row each, filled for
+    all rows at once: 1 at each term of an iqp-sparse-poly element; each T on q
+    weighs 1 at {q}, each CS on (a, b) 2 at {a, b}, summed mod 256 (8 | 256)."""
     variant, n = descs[0].variant, descs[0].num_qubits
     if variant == VARIANT_GENERIC:
         raise ValueError(f"{variant} has no diagonal form")
     if any((d.variant, d.num_qubits) != (variant, n) for d in descs):
         raise ValueError("stacked elements must share one variant and qubit count")
     weights = np.zeros((len(descs), 2**n), dtype=np.uint8)
-    for row, desc in zip(weights, descs):
-        if variant == VARIANT_IQP_POLY:
-            row[list(desc.body.terms)] = 1
-            continue
-        a, b = desc.body.a, desc.body.b
-        t = b < 0
-        # a T letter has b = -1, so its second shift repeats its own wire
-        np.add.at(row, (1 << a) | (1 << np.where(t, a, b)), np.where(t, 1, 2).astype(np.uint8))
+    if variant == VARIANT_IQP_POLY:
+        weights[[i for i, d in enumerate(descs) for _ in d.body.terms],
+                [m for d in descs for m in d.body.terms]] = 1
+        return weights
+    a = np.concatenate([d.body.a for d in descs])
+    b = np.concatenate([d.body.b for d in descs])
+    rows = np.repeat(np.arange(len(descs)), [len(d.body.a) for d in descs])
+    t = b < 0
+    # a T letter has b = -1, so its second shift repeats its own wire
+    np.add.at(weights, (rows, (1 << a) | (1 << np.where(t, a, b))), np.where(t, 1, 2).astype(np.uint8))
+    return weights
+
+
+def weight_diagonals(variant: str, weights: np.ndarray) -> np.ndarray:
+    """D from phase_weights rows, read-only, by one subset_sums: (-1)^f for
+    iqp-sparse-poly; omega^k(x), omega = e^{i pi/4}, where k(x) sums the weights
+    of the monomials contained in x, for iqp-diagonal-circuit."""
     table = PARITY_SIGNS if variant == VARIANT_IQP_POLY else _OMEGA_POWERS
     stack = table.take(subset_sums(weights))
     stack.flags.writeable = False
@@ -147,12 +158,12 @@ def apply_qga_array(desc: QgaDescription, arr: np.ndarray) -> np.ndarray:
     return qc.hadamard_layer_array(qc.hadamard_layer_array(arr) * desc.diagonal())
 
 
-def apply_qga_rows(descs, rows: np.ndarray, diagonals: np.ndarray | None) -> np.ndarray:
-    """g_i on row i of a (B, 2^n) array: IQP elements as one H.D.H over their
-    stacked diagonals, generic elements (diagonals None) one row at a time."""
-    if diagonals is None:
-        return np.stack([apply_qga_array(d, row) for d, row in zip(descs, rows)])
-    return qc.hadamard_layer_array(qc.hadamard_layer_array(rows) * diagonals)
+def apply_qga_rows(elements: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """g_i on row i of a (B, 2^n) array: IQP elements as their stacked diagonals,
+    one H.D.H; generic ones as an object array, one row at a time."""
+    if elements.dtype == object:
+        return np.stack([apply_qga_array(d, row) for d, row in zip(elements, rows)])
+    return qc.hadamard_layer_array(qc.hadamard_layer_array(rows) * elements)
 
 
 def apply_qga(desc: QgaDescription, state: StateVector) -> StateVector:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qgalab import cli, prfsg
+from qgalab import cli, prfsg, primitives
 from qgalab.circuits import Circuit, Gate, run_circuit_array
 from qgalab.qga import (
     VARIANT_GENERIC,
@@ -203,6 +203,14 @@ def phase_weights_reference(descs) -> np.ndarray:
     return weights
 
 
+def term_weights_reference(descs) -> np.ndarray:
+    """The 0/1 term table of each iqp-sparse-poly element, one element at a time."""
+    weights = np.zeros((len(descs), 2**descs[0].num_qubits), dtype=np.uint8)
+    for row, desc in zip(weights, descs):
+        row[list(desc.body.terms)] = 1
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # multi-bit encryption, one sub-ciphertext at a time
 # ---------------------------------------------------------------------------
@@ -229,6 +237,21 @@ def ske_multi_dec_reference(key, cts, rng: np.random.Generator) -> tuple[int, ..
     ]
     t = key.repetitions
     return tuple(0 if all(shots[i * t:(i + 1) * t]) else 1 for i in range(key.message_length))
+
+
+def ske_roundtrip_reference(instance, t: int, ell: int, rngs) -> tuple[list, list]:
+    """The ske-roundtrip trial loop, one trial and one ske_multi_* call at a
+    time: per generator, keygen, then encrypt and decrypt the all-zero and the
+    all-one message. Returns per trial whether the zero message decoded, and
+    the one message's decoded bits."""
+    zero_ok, one_bits = [], []
+    for rng in rngs:
+        key = primitives.ske_multi_keygen(instance, t, ell, rng)
+        cts0 = primitives.ske_multi_enc(key, [0] * ell, rng)
+        zero_ok.append(primitives.ske_multi_dec(key, cts0, rng) == (0,) * ell)
+        cts1 = primitives.ske_multi_enc(key, [1] * ell, rng)
+        one_bits.append(primitives.ske_multi_dec(key, cts1, rng))
+    return zero_ok, one_bits
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_states_and_swap_test.py", "03_prfsg_oracles.py"])
+@pytest.mark.parametrize("demo", ["01_states_and_swap_test.py", "03_prfsg_oracles.py",
+                                  "04_ske_roundtrip.py"])
 def test_demo_exits_cleanly(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,

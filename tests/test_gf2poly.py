@@ -1,12 +1,14 @@
 """Sparse GF(2) polynomials: mask semantics, vectorized signs, sampling."""
 import json
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from qgalab import gf2poly
 from qgalab.gf2poly import (
     SparsePolyF2,
     monomial_count,
@@ -151,6 +153,19 @@ def test_sampler_matches_reference_loop(num_vars, degree_bound, term_bound):
             num_vars, degree_bound, term_bound, ref_rng)
         assert poly.terms == ref_terms
         assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_sampler_at_full_degree_skips_the_filter(num_vars, term_bound, seed):
+    # at d = num_vars every nonzero mask is admissible: no popcount is taken,
+    # and the terms and the generator state equal the filtering loop's
+    rng, ref_rng = stream(seed, "poly"), stream(seed, "poly")
+    with patch.object(gf2poly, "_popcount", side_effect=AssertionError("filtered at d = num_vars")):
+        poly = sample_sparse_poly(num_vars, num_vars, term_bound, rng)
+    ref_terms = oracles.sample_sparse_poly_terms_reference(num_vars, num_vars, term_bound, ref_rng)
+    assert poly.terms == ref_terms
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sampler_is_uniform_over_admissible_masks(rng):

@@ -94,6 +94,20 @@ CLI_RUNS = {
     "prfsg-eval-iqp-sparse-large": ("prfsg-eval", "--candidate", "iqp-sparse", "--lambda", "9",
                                     "--ell", "3", "--seed", "2"),
     "ega-check": ("ega-check", "--trials", "200"),
+    # ske-roundtrip runs its trials in blocks: each family's key path, the
+    # butterfly, the one-row message and a run over several blocks
+    "ske-roundtrip-iqp-circuit": ("ske-roundtrip", "--candidate", "iqp-circuit", "--lambda", "3",
+                                  "--t", "2", "--ell", "2", "--trials", "20"),
+    "ske-roundtrip-random-circuit": ("ske-roundtrip", "--candidate", "random-circuit",
+                                     "--lambda", "2", "--trials", "20"),
+    "ske-roundtrip-identity": ("ske-roundtrip", "--candidate", "identity", "--lambda", "2",
+                               "--trials", "20"),
+    "ske-roundtrip-butterfly": ("ske-roundtrip", "--lambda", "9", "--t", "2", "--ell", "2",
+                                "--trials", "10"),
+    "ske-roundtrip-one-row": ("ske-roundtrip", "--lambda", "2", "--t", "1", "--ell", "1",
+                              "--trials", "60"),
+    "ske-roundtrip-blocks": ("ske-roundtrip", "--lambda", "3", "--t", "8", "--ell", "4",
+                             "--trials", "100"),
 }
 
 CLI_SHA256 = {
@@ -138,6 +152,14 @@ CLI_SHA256 = {
     "prfsg-eval-iqp-sparse-large":
         "635d831272eee9930250d132a1f433be6fc4d964eaac25aaf61b41003aa1bd70",
     "ega-check": "40d95e609ce6eadd40ccda1a4ec3eebe26677ef7c3251ffeb7bbbdf15ce6bce6",
+    "ske-roundtrip-iqp-circuit":
+        "2ad033fda6b8ac33a721a686046f1afc671edde84b67a9e957a4a4252af391fc",
+    "ske-roundtrip-random-circuit":
+        "9bbb44cc102fd41b781566dd13311f04b63ceb042a6897141c9ca178a6332371",
+    "ske-roundtrip-identity": "1c6d270a540d830a01445e03dad5a74f1888b99d9772035628e5fe8a4caf546b",
+    "ske-roundtrip-butterfly": "26f0d953a80c1505199666b44b5fc5d8472d4f59516a5cb5c73e64d21d32adf4",
+    "ske-roundtrip-one-row": "c52d20d0847f6c823d315e6bd70c1def283d0eccaa3986824d60fda5678978eb",
+    "ske-roundtrip-blocks": "48d05426ba0a4cd510d966ee03400a141700a4e255c7ba2ec47a6d97fc565269",
 }
 
 SAMPLE_SHA256 = {

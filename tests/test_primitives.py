@@ -1,8 +1,12 @@
 """One-way/pseudorandom state generation, money, and repetition encryption."""
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from qgalab import primitives
 from qgalab.circuits import Circuit, Gate
 from qgalab.games import _complete_basis
 from qgalab.primitives import (
@@ -267,3 +271,83 @@ def test_ciphertext_batch_rows(rng):
     kept = CiphertextBatch(writable, cts.second)
     writable[0] = 0.0
     assert kept.first.tobytes() == cts.first.tobytes() and not kept.first.flags.writeable
+
+
+def test_ciphertext_batch_rejects_nan_rows(rng):
+    key = ske_multi_keygen(iqp_poly_qga(2), 1, 2, rng)
+    cts = ske_multi_enc(key, [0, 1], rng)
+    with pytest.raises(ValueError):
+        CiphertextBatch(np.full((2, 4), np.nan + 0j), cts.second)
+    with pytest.raises(ValueError):
+        CiphertextBatch(cts.first, np.full((2, 4), np.nan + 0j))
+    one_nan = np.array(cts.second)
+    one_nan[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        CiphertextBatch(cts.first, one_nan)
+
+
+def test_accept_probs_reject_nan_moved_rows(rng):
+    # a NaN overlap would pass snap_prob unchanged and decode silently as 0
+    key = ske_multi_keygen(iqp_poly_qga(2), 1, 2, rng)
+    cts = ske_multi_enc(key, [0, 1], rng)
+    diagonals = np.array(primitives._key_elements(key))
+    diagonals[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        primitives._accept_probs(diagonals, cts)
+
+
+# ---------------------------------------------------------------------------
+# ske-roundtrip's trials in blocks against the per-trial loop
+# ---------------------------------------------------------------------------
+
+_ROUNDTRIP_FAMILIES = {
+    "iqp-sparse": iqp_poly_qga,
+    "iqp-circuit": iqp_circuit_qga,
+    "random-circuit": random_circuit_qga,
+    "identity": identity_qga,
+}
+
+
+def _recording(log: list):
+    accept_probs = primitives._accept_probs
+
+    def record(elements, cts):
+        log.append(accept_probs(elements, cts))
+        return log[-1]
+
+    return record
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_ROUNDTRIP_FAMILIES)), lam=st.sampled_from([1, 2, 3, 9]),
+       shape=st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda s: s[0] * s[1] <= 6),
+       trials=st.integers(1, 9), chunk=st.sampled_from([1 << 4, 1 << 6, 1 << 10, 1 << 13]),
+       seed=st.integers(0, 2**16))
+@example(name="iqp-sparse", lam=3, shape=(2, 2), trials=9, chunk=1 << 6, seed=0)  # blocks of 2
+@example(name="iqp-sparse", lam=9, shape=(2, 3), trials=5, chunk=1 << 13, seed=1)  # blocks of 2
+@example(name="iqp-circuit", lam=2, shape=(1, 1), trials=9, chunk=1 << 4, seed=2)  # one-row messages
+@example(name="random-circuit", lam=3, shape=(3, 1), trials=7, chunk=1 << 6, seed=3)
+def test_blocked_roundtrip_matches_the_reference_loop(name, lam, shape, trials, chunk, seed):
+    # same outcomes and generator states as the per-trial loop of oracles, and
+    # the same accept probabilities: byte-equal, except that a one-row message
+    # takes BLAS's one-row product, which differs from a batch in the last bits
+    family, (t, ell) = _ROUNDTRIP_FAMILIES[name](lam), shape
+    blocked_rngs = [stream(seed, "roundtrip", i) for i in range(trials)]
+    ref_rngs = [stream(seed, "roundtrip", i) for i in range(trials)]
+    blocked_log, ref_log = [], []
+    with patch.object(primitives, "_CHUNK_AMPLITUDES", chunk):
+        with patch.object(primitives, "_accept_probs", _recording(ref_log)):
+            ref_zero_ok, ref_ones = oracles.ske_roundtrip_reference(family, t, ell, ref_rngs)
+        with patch.object(primitives, "_accept_probs", _recording(blocked_log)):
+            zero_ok, ones = primitives.ske_roundtrip_trials(family, t, ell, blocked_rngs)
+    assert zero_ok.tolist() == ref_zero_ok
+    assert [tuple(int(b) for b in row) for row in ones] == ref_ones
+    for blocked, ref in zip(blocked_rngs, ref_rngs):
+        assert blocked.bit_generator.state == ref.bit_generator.state
+    for message in (0, 1):
+        got = np.concatenate(blocked_log[message::2])
+        want = np.concatenate(ref_log[message::2])
+        if t * ell >= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15

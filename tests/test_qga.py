@@ -13,7 +13,7 @@ from qgalab import prfsg
 from qgalab import qga as qga_module
 from qgalab.circuits import Circuit, Gate, PhaseWord
 from qgalab.games import run_up_game, up_haar
-from qgalab.gf2poly import SparsePolyF2, subset_sums
+from qgalab.gf2poly import PARITY_SIGNS, SparsePolyF2, subset_sums
 from qgalab.qga import (
     VARIANT_GENERIC,
     VARIANT_IQP_CIRCUIT,
@@ -150,6 +150,19 @@ def test_stacked_diagonals_match_the_per_letter_weight_loop(words):
     assert stacked_diagonals(descs).tobytes() == expected.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(_WIDTHS.flatmap(lambda n: st.lists(
+    st.sets(st.integers(1, 2**n - 1), max_size=12).map(
+        lambda terms: SparsePolyF2(n, frozenset(terms), n, max(1, len(terms)))),
+    min_size=1, max_size=4)))
+def test_stacked_poly_diagonals_match_the_per_element_term_loop(polys):
+    # one fancy assignment over all stacked terms sets the same 0/1 table as a
+    # loop over the elements, so the parity signs agree byte for byte
+    descs = [QgaDescription(VARIANT_IQP_POLY, p.num_vars, p) for p in polys]
+    expected = PARITY_SIGNS.take(subset_sums(oracles.term_weights_reference(descs)))
+    assert stacked_diagonals(descs).tobytes() == expected.tobytes()
+
+
 def _circuit_diagonal(n, a, b):
     return QgaDescription(VARIANT_IQP_CIRCUIT, n, PhaseWord(n, a, b)).diagonal()
 
@@ -208,8 +221,8 @@ def test_apply_qga_rows_matches_apply_qga_array(num_qubits, rng):
                  lambda: sample_g_candidate3(num_qubits, 3, num_qubits**2, rng)):
         descs = [make() for _ in range(4)]
         rows = np.array([sample_haar_state(num_qubits, rng).amplitudes for _ in descs])
-        diagonals = None if descs[0].variant == VARIANT_GENERIC else stacked_diagonals(descs)
-        out = apply_qga_rows(descs, rows, diagonals)
+        generic = descs[0].variant == VARIANT_GENERIC
+        out = apply_qga_rows(np.array(descs, dtype=object) if generic else stacked_diagonals(descs), rows)
         for desc, row, got in zip(descs, rows, out):
             assert np.max(np.abs(got - apply_qga_array(desc, row))) < 1e-12
 
