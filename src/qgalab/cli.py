@@ -14,13 +14,17 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import ega as ega_mod
 from . import games, prfsg, primitives
-from .circuits import MAX_DENSE_QUBITS
+from .circuits import MAX_DENSE_QUBITS, PhaseWord, word_to_json
 from .distributions import DistributionId
 from .qga import (
+    VARIANT_IQP_CIRCUIT,
     QgaInstance,
     haar_unitary_qga,
     identity_qga,
@@ -313,33 +317,65 @@ def _cmd_ske_roundtrip(config: dict) -> str:
     return _canonical_json(report)
 
 
-def _state_text(state: StateVector) -> str:
+def _state_text(state: StateVector, memo: list | None = None) -> str:
     """One state as json.dumps(state_to_json(state), sort_keys=True, indent=2)
-    writes it two levels deep. A StateVector's amplitudes are finite, and for
-    a finite float json writes repr(value)."""
-    pair = "\n        ],\n        [\n          ".join(["%r,\n          %r"] * len(state.amplitudes))
-    return ('{\n      "amplitudes": [\n        [\n          '
-            + pair % tuple(state.amplitudes.view(float).tolist())
+    writes it two levels deep: json writes a StateVector's finite floats as
+    repr(value), which is str(value). A state that repeats a value takes its
+    texts from ``memo`` ([sorted bit patterns, reprs]), made once per report."""
+    pair = "\n        ],\n        [\n          ".join(["%s,\n          %s"] * len(state.amplitudes))
+    floats = state.amplitudes.view(float)
+    values, inverse = np.unique(floats.view(np.uint64), return_inverse=True)
+    if len(values) < len(floats):
+        memo = [] if memo is None else memo
+        known, reprs = memo or (np.empty(0, np.uint64), np.empty(0, object))
+        at = np.searchsorted(known, values)
+        new = at == np.searchsorted(known, values, side="right")  # not in the memo yet
+        memo[:] = known, reprs = (np.insert(known, at[new], values[new]),
+                                  np.insert(reprs, at[new], [*map(repr, values.view(float)[new].tolist())]))
+        floats = reprs[np.searchsorted(known, values)][inverse]  # texts
+    return ('{\n      "amplitudes": [\n        [\n          ' + pair % tuple(floats.tolist())
             + f'\n        ]\n      ],\n      "num_qubits": {state.num_qubits}\n    }}')
 
 
+def _with_gates(text: str, words) -> str:
+    """Fill the k-th '"gates": null' of an indented dump with the k-th word's gates
+    list as the dump of word_to_json(word) writes it; each letter is dumped once."""
+    pieces, letters = text.split('"gates": null'), {}
+    for k, word in enumerate(words):
+        pairs = list(zip(word.a.tolist(), word.b.tolist()))
+        for a, b in set(pairs).difference(letters):
+            one = word_to_json(PhaseWord(word.num_qubits, [a], [b]))["gates"]
+            letters[a, b] = json.dumps(one, sort_keys=True, indent=2)[2:-2]  # "[\n" X "\n]"
+        listed = "[\n" + ",\n".join(map(letters.__getitem__, pairs)) + "\n]" if pairs else "[]"
+        pieces[k] += '"gates": ' + listed.replace("\n", pieces[k][pieces[k].rindex("\n"):])
+    return "".join(pieces)
+
+
 def _cmd_prfsg_eval(config: dict) -> str:
-    """The canonical JSON of {command, config, key, seed, states}, with the
-    states block written directly. That gives the same bytes because "states"
-    sorts last among the report's keys, the inputs are same-length binary
-    strings yielded in ascending order, and "amplitudes" sorts before
-    "num_qubits" in each state."""
-    instance = _build_instance(config)
-    rng = stream(config["seed"], "prfsg-eval")
-    key = prfsg.keygen(instance, config["ell"], rng)
-    head = _canonical_json({
+    """The canonical JSON of {command, config, key, seed, states}, in pieces
+    with the same bytes: the canonical head, each iqp-circuit gates list filled
+    in by _with_gates, then the states block, since "states" sorts last, the
+    inputs are same-length binary strings yielded in ascending order, and
+    "amplitudes" sorts before "num_qubits". Amplitude texts are keyed by bit
+    pattern, not value: -0.0 == 0.0, but their texts differ."""
+    key = prfsg.keygen(_build_instance(config), config["ell"], stream(config["seed"], "prfsg-eval"))
+    words = [g.body for g in key.group_elements if g.variant == VARIANT_IQP_CIRCUIT]
+    hollow = [replace(g, body=PhaseWord(g.num_qubits, (), ())) if g.variant == VARIANT_IQP_CIRCUIT
+              else g for g in key.group_elements]
+    key_json = prfsg.key_to_json(prfsg.PrfsgKey(hollow, key.base_state))
+    for body in (e["body"] for e in key_json["group_elements"] if e["variant"] == VARIANT_IQP_CIRCUIT):
+        body["gates"] = None
+    head = _with_gates(_canonical_json({
         "command": "prfsg-eval",
         "config": _public_config(config),
         "seed": config["seed"],
-        "key": prfsg.key_to_json(key),
-    })
-    states = ",\n".join(f'    "{x}": {_state_text(state)}' for x, state in prfsg.state_gen_all(key))
-    return head.removesuffix("\n}\n") + ',\n  "states": {\n' + states + "\n  }\n}\n"
+        "key": key_json,
+    }), words)
+    parts, memo = [head.removesuffix("\n}\n"), ',\n  "states": {\n'], []
+    for x, state in prfsg.state_gen_all(key):
+        parts += f'    "{x}": ', _state_text(state, memo), ",\n"
+    parts[-1] = "\n  }\n}\n"
+    return "".join(parts)  # one copy of the report, not three
 
 
 def _cmd_money_demo(config: dict) -> str:

@@ -21,7 +21,7 @@ class SparsePolyF2:
     term_bound: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", frozenset(int(m) for m in self.terms))
+        object.__setattr__(self, "terms", terms := frozenset(map(int, self.terms)))
         v, d, w = self.num_vars, self.degree_bound, self.term_bound
         if v < 1:
             raise ValueError("need at least one variable")
@@ -29,13 +29,14 @@ class SparsePolyF2:
             raise ValueError(f"degree bound {d} outside [1, {v}]")
         if w < 1:
             raise ValueError("term bound must be positive")
-        if len(self.terms) > w:
-            raise ValueError(f"{len(self.terms)} terms exceed the bound {w}")
-        for m in self.terms:
-            if not 1 <= m < 2**v:
-                raise ValueError(f"monomial mask {m:#x} out of range (constant term excluded)")
-            if m.bit_count() > d:
-                raise ValueError(f"monomial mask {m:#x} exceeds degree bound {d}")
+        if len(terms) > w:
+            raise ValueError(f"{len(terms)} terms exceed the bound {w}")
+        if terms and not (1 <= min(terms) and max(terms) < 2**v):
+            m = min(terms) if min(terms) < 1 else max(terms)
+            raise ValueError(f"monomial mask {m:#x} out of range (constant term excluded)")
+        over = [m for m in terms if m.bit_count() > d] if d < v else []  # at d = v none is
+        if over:
+            raise ValueError(f"monomial mask {over[0]:#x} exceeds degree bound {d}")
 
     def sign_vector(self) -> np.ndarray:
         """(-1)^f over all basis indices, qubit j <-> variable x_{j+1}: the

@@ -164,23 +164,26 @@ def _key_elements(key: SkeKey1 | SkeKeyMulti) -> np.ndarray:
 
 def _draw_haar(bits: np.ndarray, num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Draw step of encryption: |s> per 0-bit row, |s> then |s'> per 1-bit row,
-    unnormalised, from one standard_normal call (see ske_multi_enc)."""
-    return rng.standard_normal((len(bits) + int(bits.sum()), 2**(num_qubits + 1))).view(np.complex128)
+    unnormalised, with one standard_normal call's stream (see ske_multi_enc): B rows
+    if every bit is 0, else row i's |s> at 2i and its |s'> (ones for a 0-bit) at 2i + 1."""
+    if bits.all() or not bits.any():
+        return rng.standard_normal((len(bits) + int(bits.sum()), 2**(num_qubits + 1))).view(np.complex128)
+    states = np.ones((2 * len(bits), 2**(num_qubits + 1)))
+    for i, bit in enumerate(bits.tolist()):
+        rng.standard_normal(out=states[2 * i:2 * i + 1 + bit])
+    return states.view(np.complex128)
 
 
 def _seal(elements: np.ndarray, bits: np.ndarray, states: np.ndarray) -> CiphertextBatch:
     """Compute step of encryption: normalise the drawn states in place, deal them
-    out as (first_i, second_i), views where all bits agree, and set second_i =
+    out as views (first_i, second_i) (see _draw_haar), and set second_i =
     g_i . first_i for every 0-bit row."""
     for rows in _chunks(len(states), states.shape[1]):
         states[rows] /= np.linalg.norm(states[rows], axis=1, keepdims=True)
-    if not bits.any():
-        first, second = states, np.empty_like(states)
-    elif bits.all():
-        first, second = states[0::2], states[1::2]
+    if bits.any():
+        first, second = states[0::2], states[1::2]  # a 0-bit's second is set below
     else:
-        at = np.cumsum(1 + bits) - 1 - bits  # the draw of each row's |s>
-        first, second = states[at], states[at + bits]  # a 0-bit's second is set below
+        first, second = states, np.empty_like(states)
     for rows in _chunks(len(bits), states.shape[1]):
         zeros = rows.start + np.flatnonzero(bits[rows] == 0)
         if zeros.size:

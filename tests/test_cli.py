@@ -7,17 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qgalab import cli as cli_mod
 from qgalab import prfsg as prfsg_mod
 from qgalab import games as games_mod
 from qgalab import qga as qga_mod
-from qgalab.circuits import MAX_DENSE_QUBITS
+from qgalab.circuits import MAX_DENSE_QUBITS, PhaseWord
 from qgalab.cli import main
 from qgalab.games import run_up_game, up_copy
 from qgalab.qga import iqp_poly_qga, qga_from_json
-from qgalab.states import StateVector, state_from_json, state_to_json
+from qgalab.rng import stream
+from qgalab.states import StateVector, sample_haar_state, state_from_json, state_to_json
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +295,56 @@ def test_state_text_equals_the_indented_dump(amplitudes):
     state = StateVector(int(np.log2(len(amplitudes))), np.array(amplitudes))
     expected = json.dumps({"states": {"0": state_to_json(state)}}, sort_keys=True, indent=2)
     assert '{\n  "states": {\n    "0": ' + cli_mod._state_text(state) + "\n  }\n}" == expected
+
+
+def _writer_states() -> dict:
+    """Four states on two qubits: no repeated value; +0.0, -0.0 and 5e-324
+    repeated in one state; no repeat again, though it holds -0.0; repeats
+    that share their values with "01"."""
+    amplitudes = {
+        "00": sample_haar_state(2, stream(0, "state-writer")).amplitudes,
+        "01": [complex(1.0, -0.0), complex(0.0, 5e-324), complex(-0.0, 0.0), complex(5e-324, -0.0)],
+        "10": [complex(0.6, -0.0), complex(0.0, 0.48), complex(0.36, 0.5), complex(0.1, 0.02**0.5)],
+        "11": [complex(0.6, -0.0), complex(0.8, 0.0), complex(0.0, -0.0), complex(5e-324, 0.0)],
+    }
+    return {x: StateVector(2, np.array(amps)) for x, amps in amplitudes.items()}
+
+
+def test_state_texts_share_one_memo_by_bit_pattern(capsys, monkeypatch):
+    # a memo keyed by float value would write -0.0 as 0.0 or 0.0 as -0.0
+    states = _writer_states()
+    floats = [s.amplitudes.view(float) for s in states.values()]
+    assert [len(np.unique(f.view(np.uint64))) < len(f) for f in floats] == [False, True, False, True]
+    assert np.signbit(floats[2][1])
+    monkeypatch.setattr(prfsg_mod, "state_gen_all", lambda key: iter(states.items()))
+    monkeypatch.setattr(prfsg_mod, "state_gen", lambda key, x: states[x])
+    argv = ("prfsg-eval", "--lambda", "2", "--ell", "2", "--candidate", "iqp-circuit")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == oracles.prfsg_eval_report_reference(_validated_config(*argv))
+    assert '"01": {\n      "amplitudes": [\n        [\n          1.0,\n          -0.0\n' in out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gates_writer_matches_the_word_dump(data):
+    # two words at two depths of one dump, with repeated letters within and across them
+    def word():
+        lam = data.draw(st.integers(1, 10))
+        wires = st.integers(0, lam - 1).flatmap(lambda a: st.tuples(
+            st.just(a), st.sampled_from([-1] + [q for q in range(lam) if q != a])))
+        letters = data.draw(st.lists(wires, max_size=200))
+        return qga_mod.QgaDescription(qga_mod.VARIANT_IQP_CIRCUIT, lam, PhaseWord(
+            lam, [a for a, _ in letters], [b for _, b in letters]))
+
+    first, second = word(), word()
+    hollow = [qga_mod.qga_to_json(g) for g in (first, second)]
+    for element in hollow:
+        element["body"]["gates"] = None
+    text = cli_mod._canonical_json({"a": hollow[0], "b": {"c": [hollow[1]]}})
+    expected = cli_mod._canonical_json({"a": qga_mod.qga_to_json(first),
+                                        "b": {"c": [qga_mod.qga_to_json(second)]}})
+    assert cli_mod._with_gates(text, [first.body, second.body]) == expected
 
 
 def test_ega_check_report(capsys):

@@ -37,6 +37,18 @@ def test_validation():
         SparsePolyF2(3, frozenset({8}), 3, 1)  # mask out of range
     with pytest.raises(ValueError):
         SparsePolyF2(3, frozenset({7}), 2, 1)  # degree 3 over bound 2
+    # numpy integers and lists are accepted and stored as a frozenset of ints
+    poly = SparsePolyF2(3, [np.int64(3), 5, np.uint8(3)], 2, 2)
+    assert poly.terms == frozenset({3, 5}) and {type(m) for m in poly.terms} == {int}
+    assert SparsePolyF2(3, np.array([7, 1]), 3, 2).terms == frozenset({1, 7})  # d = v: any mask
+    with pytest.raises(ValueError, match="out of range"):
+        SparsePolyF2(3, [np.int64(0), 3], 3, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        SparsePolyF2(3, np.array([1, 8]), 3, 2)
+    with pytest.raises(ValueError, match="exceeds degree bound 2"):
+        SparsePolyF2(3, [np.int64(7), 1], 2, 2)
+    with pytest.raises(ValueError, match="exceed the bound 1"):
+        SparsePolyF2(3, [1, np.int32(2)], 3, 1)
 
 
 def test_empty_polynomial_is_zero():

@@ -108,6 +108,15 @@ CLI_RUNS = {
                               "--trials", "60"),
     "ske-roundtrip-blocks": ("ske-roundtrip", "--lambda", "3", "--t", "8", "--ell", "4",
                              "--trials", "100"),
+    # prfsg-eval writes each repeated amplitude and each {T, CS} letter once:
+    # basis states (nearly every value repeats), states with no repeated value,
+    # and a key of thousands of copies of a few letters
+    "prfsg-eval-identity": ("prfsg-eval", "--candidate", "identity", "--lambda", "8",
+                            "--ell", "3"),
+    "prfsg-eval-random-circuit": ("prfsg-eval", "--candidate", "random-circuit",
+                                  "--lambda", "10", "--ell", "4"),
+    "prfsg-eval-iqp-circuit-deep": ("prfsg-eval", "--candidate", "iqp-circuit", "--lambda", "3",
+                                    "--ell", "2", "--depth", "2000"),
 }
 
 CLI_SHA256 = {
@@ -160,6 +169,11 @@ CLI_SHA256 = {
     "ske-roundtrip-butterfly": "26f0d953a80c1505199666b44b5fc5d8472d4f59516a5cb5c73e64d21d32adf4",
     "ske-roundtrip-one-row": "c52d20d0847f6c823d315e6bd70c1def283d0eccaa3986824d60fda5678978eb",
     "ske-roundtrip-blocks": "48d05426ba0a4cd510d966ee03400a141700a4e255c7ba2ec47a6d97fc565269",
+    "prfsg-eval-identity": "3f6adeb5cbb94770954f10e60d4384d051aed6a3184b95cfc382e21e0c73820e",
+    "prfsg-eval-random-circuit":
+        "2262dd2e9f616faf3dce04d53f56727acc48e4e4493e19f07aed193caf0eba81",
+    "prfsg-eval-iqp-circuit-deep":
+        "c47c2508d3edebcf4b63bb1efa3c9534ed43f4c63b40639ec3be057975a8b04d",
 }
 
 SAMPLE_SHA256 = {

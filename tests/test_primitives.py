@@ -1,4 +1,5 @@
 """One-way/pseudorandom state generation, money, and repetition encryption."""
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -252,6 +253,20 @@ def test_batched_ske_matches_scalar_reference(lam, name):
         decoded = ske_multi_dec(key, cts, batched)
         assert decoded == oracles.ske_multi_dec_reference(ref_key, ref_cts, scalar)
         assert batched.random() == scalar.random()
+
+
+def test_mixed_message_peaks_no_higher_than_the_zero_message(rng):
+    # a mixed message's states are drawn straight into their (first, second)
+    # rows, so no state is copied; the slack is bookkeeping, not a state (64 KiB)
+    key = ske_multi_keygen(iqp_poly_qga(12), 2, 3, rng)
+    ske_multi_enc(key, [0, 0, 0], rng)  # builds the key's cached diagonals
+    peaks = {}
+    for message in ((0, 0, 0), (0, 1, 0), (1, 0, 1)):
+        tracemalloc.start()
+        ske_multi_enc(key, message, rng)
+        peaks[message] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert max(peaks[(0, 1, 0)], peaks[(1, 0, 1)]) <= peaks[(0, 0, 0)] + 1024
 
 
 def test_ciphertext_batch_rows(rng):
